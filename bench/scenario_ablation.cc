@@ -1,5 +1,6 @@
-// Ablation scenario (DESIGN.md section 5): which parts of LDPRecover
-// do the work?  Compares, under MGA and AA on IPUMS:
+// Ablation scenario ("The recovery ablation" in docs/architecture.md):
+// which parts of LDPRecover do the work?  Compares, under MGA and AA
+// on IPUMS:
 //
 //   Before        the raw poisoned estimate;
 //   Full          LDPRecover as published (subtract + refine);

@@ -1,20 +1,26 @@
-# The ldpr_diff round-trip contract (ISSUE 4 acceptance):
+# The ldpr_diff round-trip contract:
 #
 #   1. two same-seed `ldpr_bench --scenario all --out` runs at
 #      different LDPR_THREADS pass `ldpr_diff --exact`;
-#   2. perturbing one metric makes `--exact` (and a tight
+#   2. both runs, made at the committed baseline's knobs, pass
+#      `ldpr_diff --exact` against that baseline (ci/baseline) — so
+#      every result, and with it every generation and crafting RNG
+#      stream, is pinned to the committed tree;
+#   3. perturbing one metric makes `--exact` (and a tight
 #      `--tolerance`) fail with a non-zero exit and a drift report
 #      naming the (scenario, table, row, column).
 #
 # Usage: cmake -DLDPR_BENCH=<path> -DLDPR_DIFF=<path> -DWORK_DIR=<dir>
-#        -P ldpr_diff_roundtrip.cmake
+#        -DBASELINE_DIR=<ci/baseline> -P ldpr_diff_roundtrip.cmake
 
-if(NOT LDPR_BENCH OR NOT LDPR_DIFF OR NOT WORK_DIR)
-  message(FATAL_ERROR "LDPR_BENCH, LDPR_DIFF, and WORK_DIR must be set")
+if(NOT LDPR_BENCH OR NOT LDPR_DIFF OR NOT WORK_DIR OR NOT BASELINE_DIR)
+  message(FATAL_ERROR
+          "LDPR_BENCH, LDPR_DIFF, WORK_DIR, and BASELINE_DIR must be set")
 endif()
 
-set(ENV{LDPR_BENCH_SCALE} "0.005")
-set(ENV{LDPR_BENCH_TRIALS} "1")
+# The knobs ci/baseline was made with (see ci/baseline/README.md).
+set(ENV{LDPR_BENCH_SCALE} "0.01")
+set(ENV{LDPR_BENCH_TRIALS} "2")
 
 set(out_a "${WORK_DIR}/all-t1")
 set(out_b "${WORK_DIR}/all-t2")
@@ -44,7 +50,19 @@ if(NOT rc_exact EQUAL 0)
           "(rc=${rc_exact})\n${diff_out}\n${diff_err}")
 endif()
 
-# 2. Perturb one metric; the comparator must fail and name the cell.
+# 2. Both trees agree exactly with the committed baseline.
+foreach(out ${out_a} ${out_b})
+  execute_process(COMMAND ${LDPR_DIFF} --exact ${BASELINE_DIR} ${out}
+                  OUTPUT_VARIABLE diff_out ERROR_VARIABLE diff_err
+                  RESULT_VARIABLE rc_baseline)
+  if(NOT rc_baseline EQUAL 0)
+    message(FATAL_ERROR
+            "ldpr_diff --exact rejected ${out} against ${BASELINE_DIR} "
+            "(rc=${rc_baseline})\n${diff_out}\n${diff_err}")
+  endif()
+endforeach()
+
+# 3. Perturb one metric; the comparator must fail and name the cell.
 file(COPY "${out_b}" DESTINATION "${WORK_DIR}/perturbed")
 set(out_c "${WORK_DIR}/perturbed/all-t2")
 file(READ "${out_c}/table1/results.jsonl" rows)
@@ -74,5 +92,5 @@ if(rc_tolerance EQUAL 0)
   message(FATAL_ERROR "ldpr_diff --tolerance=1e-6 accepted a perturbed tree")
 endif()
 
-message(STATUS "ldpr_diff round-trip: exact across thread counts, "
-               "perturbation detected")
+message(STATUS "ldpr_diff round-trip: exact across thread counts and "
+               "against the baseline, perturbation detected")

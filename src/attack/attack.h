@@ -6,7 +6,8 @@
 // the encoded domain and bypasses the perturbation algorithm; the
 // input poisoning attack (attack/ipa.h) instead samples input items
 // and perturbs them honestly.  Either way, an attack is a recipe for
-// producing m reports given the protocol in use.
+// producing m reports given the protocol in use, written straight
+// into a ReportBatch (CraftBatch).
 
 #ifndef LDPR_ATTACK_ATTACK_H_
 #define LDPR_ATTACK_ATTACK_H_
@@ -26,19 +27,17 @@ class Attack {
 
   virtual std::string Name() const = 0;
 
-  /// Crafts the reports of `m` malicious users against `protocol`.
-  virtual std::vector<Report> Craft(const FrequencyProtocol& protocol,
-                                    size_t m, Rng& rng) const = 0;
-
-  /// Crafts the same m reports straight into a builder-mode
-  /// ReportBatch (SoA seeds/values/packed bit rows) — the malicious
-  /// half of the batched trial pipeline.  Overrides must draw exactly
-  /// the same randomness, in the same order, as Craft, so the two
-  /// paths produce bit-identical reports AND leave the Rng in the
-  /// same state (locked in by tests/report_gen_batch_test.cc).  The
-  /// default materializes via Craft and appends.
+  /// Crafts the reports of `m` malicious users against `protocol`
+  /// and appends them to a builder-mode ReportBatch (SoA seeds/
+  /// values/packed bit rows) — the malicious half of every trial.
   virtual void CraftBatch(const FrequencyProtocol& protocol, size_t m,
-                          Rng& rng, ReportBatch::Builder& out) const;
+                          Rng& rng, ReportBatch::Builder& out) const = 0;
+
+  /// CraftBatch into a fresh batch, extracted as materialized
+  /// reports (same draws) — for tests, examples and callers that
+  /// want a std::vector<Report>.
+  std::vector<Report> Craft(const FrequencyProtocol& protocol, size_t m,
+                            Rng& rng) const;
 
   /// Target items of a targeted attack; empty for untargeted attacks.
   virtual std::vector<ItemId> targets() const { return {}; }

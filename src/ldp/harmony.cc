@@ -16,11 +16,11 @@ Report Harmony::Perturb(double value, Rng& rng) const {
   return rr_.Perturb(Discretize(value, rng), rng);
 }
 
-double Harmony::EstimateMean(const std::vector<Report>& reports) const {
+double Harmony::EstimateMean(const ReportBatch& reports) const {
   return EstimateMeanSharded(reports, /*shards=*/1);
 }
 
-double Harmony::EstimateMeanSharded(const std::vector<Report>& reports,
+double Harmony::EstimateMeanSharded(const ReportBatch& reports,
                                     size_t shards) const {
   LDPR_CHECK(!reports.empty());
   Aggregator agg(rr_);

@@ -8,7 +8,7 @@
 // estimated frequency of the "+1" item.  Because the pipeline reduces
 // to frequency estimation, LDPRecover applies verbatim: poisoned
 // means are repaired by recovering the underlying binary frequency
-// vector.  examples/mean_estimation.cc demonstrates this end to end.
+// vector.  examples/mean_estimation.cpp demonstrates this end to end.
 
 #ifndef LDPR_LDP_HARMONY_H_
 #define LDPR_LDP_HARMONY_H_
@@ -40,13 +40,12 @@ class Harmony {
   ItemId Discretize(double value, Rng& rng) const;
 
   /// Server side: estimated mean from the reports.
-  double EstimateMean(const std::vector<Report>& reports) const;
+  double EstimateMean(const ReportBatch& reports) const;
 
   /// Same estimate, with support aggregation sharded across `shards`
   /// pool workers (0 = auto).  Byte-identical to EstimateMean at any
   /// shard count (see Aggregator::AddAllSharded).
-  double EstimateMeanSharded(const std::vector<Report>& reports,
-                             size_t shards) const;
+  double EstimateMeanSharded(const ReportBatch& reports, size_t shards) const;
 
   /// Converts an estimated binary frequency vector
   /// [f(+1), f(-1)] into a mean estimate: 2*f(+1) - 1.

@@ -1,38 +1,41 @@
 #include "ldp/report_batch.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace ldpr {
 
-ReportBatch::ReportBatch(const Report* reports, size_t n)
-    : span_(reports), size_(n) {
-  if (n > 0) bits_width_ = reports[0].bits.size();
+namespace {
+
+// Grows `v` to hold at least `need` elements, at least doubling its
+// capacity: vector::reserve allocates exactly what it is asked for,
+// so reserving size + 1 per append would copy the whole array every
+// time.
+template <typename T>
+void GrowTo(std::vector<T>& v, size_t need) {
+  if (need > v.capacity()) v.reserve(std::max(need, 2 * v.capacity()));
 }
 
-void ReportBatch::Append(const Report& report) {
-  LDPR_CHECK(is_builder());
-  if (!report.bits.empty()) {
-    if (size_ == 0 && bits_width_ == 0) {
-      bits_width_ = report.bits.size();
-    } else {
-      LDPR_CHECK(report.bits.size() == bits_width_);
-    }
+}  // namespace
+
+ReportBatch::ReportBatch(const std::vector<Report>& reports)
+    : size_(reports.size()),
+      bits_width_(reports.empty() ? 0 : reports[0].bits.size()) {
+  seeds_.reserve(size_);
+  values_.reserve(size_);
+  bits_.reserve(size_ * bits_width_);
+  for (const Report& report : reports) {
+    LDPR_CHECK(report.bits.size() == bits_width_);
+    seeds_.push_back(report.seed);
+    values_.push_back(report.value);
     bits_.insert(bits_.end(), report.bits.begin(), report.bits.end());
-  } else {
-    LDPR_CHECK(bits_width_ == 0);
   }
-  seeds_.push_back(report.seed);
-  values_.push_back(report.value);
-  ++size_;
 }
 
 void ReportBatch::AppendFrom(const ReportBatch& src, size_t i) {
   LDPR_CHECK(is_builder());
   LDPR_CHECK(i < src.size_);
-  if (src.span_ != nullptr) {
-    Append(src.span_[i]);
-    return;
-  }
   const size_t width = src.bits_width_;
   if (width > 0) {
     if (size_ == 0 && bits_width_ == 0) {
@@ -51,7 +54,6 @@ void ReportBatch::AppendFrom(const ReportBatch& src, size_t i) {
 }
 
 void ReportBatch::Clear() {
-  span_ = nullptr;
   size_ = 0;
   bits_width_ = 0;
   seeds_view_ = nullptr;
@@ -62,31 +64,20 @@ void ReportBatch::Clear() {
   bits_.clear();
 }
 
-void ReportBatch::Reserve(size_t n, size_t bits_width) {
-  LDPR_CHECK(is_builder());
-  seeds_.reserve(n);
-  values_.reserve(n);
-  if (bits_width > 0) bits_.reserve(n * bits_width);
-}
-
 const uint64_t* ReportBatch::seeds() const {
-  LDPR_CHECK(span_ == nullptr);
   return seeds_view_ != nullptr ? seeds_view_ : seeds_.data();
 }
 
 const uint32_t* ReportBatch::values() const {
-  LDPR_CHECK(span_ == nullptr);
   return values_view_ != nullptr ? values_view_ : values_.data();
 }
 
 const uint8_t* ReportBatch::bits() const {
-  LDPR_CHECK(span_ == nullptr);
   LDPR_CHECK(bits_width_ > 0);
   return bits_view_ != nullptr ? bits_view_ : bits_.data();
 }
 
 ReportBatch ReportBatch::Slice(size_t begin, size_t end) const {
-  LDPR_CHECK(span_ == nullptr);
   LDPR_CHECK(begin <= end && end <= size_);
   ReportBatch view;
   view.size_ = end - begin;
@@ -99,12 +90,6 @@ ReportBatch ReportBatch::Slice(size_t begin, size_t end) const {
 
 void ReportBatch::ExtractReport(size_t i, Report& out) const {
   LDPR_CHECK(i < size_);
-  if (span_ != nullptr) {
-    out.seed = span_[i].seed;
-    out.value = span_[i].value;
-    out.bits = span_[i].bits;
-    return;
-  }
   out.seed = seeds()[i];
   out.value = values()[i];
   if (bits_width_ == 0) {
@@ -123,13 +108,19 @@ void ReportBatch::Builder::SetBitsWidth(size_t width) {
   LDPR_CHECK(width > 0);
   if (batch_->size_ == 0 && batch_->bits_width_ == 0) {
     batch_->bits_width_ = width;
+    // Rows reserved before the width was known get their bit rows.
+    GrowTo(batch_->bits_, batch_->seeds_.capacity() * width);
   } else {
     LDPR_CHECK(width == batch_->bits_width_);
   }
 }
 
 void ReportBatch::Builder::Reserve(size_t n) {
-  batch_->Reserve(batch_->size_ + n, batch_->bits_width_);
+  const size_t need = batch_->size_ + n;
+  GrowTo(batch_->seeds_, need);
+  GrowTo(batch_->values_, need);
+  const size_t width = batch_->bits_width_;
+  if (width > 0) GrowTo(batch_->bits_, need * width);
 }
 
 void ReportBatch::Builder::AddValue(uint32_t value) { AddSeedValue(0, value); }

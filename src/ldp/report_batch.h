@@ -1,39 +1,34 @@
-// ReportBatch: a batch of many reports in SoA layout, the unit of the
-// batched generation + aggregation hot path.
+// ReportBatch: a batch of many reports in SoA layout, the unit of
+// every report-generating and report-aggregating path.
 //
-// The streaming Aggregator pays a virtual AccumulateSupports call per
-// report; for the support-set protocols (OLH/BLH, OUE/SUE) that call
-// is itself O(d), so accumulating m malicious MGA reports costs
-// O(m*d) virtual-dispatch-laden work.  ReportBatch hands
-// FrequencyProtocol::AccumulateSupportsBatch a whole batch at once so
-// each protocol can run one tight specialized loop instead (value
-// histogram for GRR, per-column bit sums for the unary family,
-// item-block x report-block tiles for local hashing).
+// Protocols and attacks implement only the batch API: reports are
+// generated into a batch (FrequencyProtocol::AppendGenuineReports,
+// AppendCraftedReport, Attack::CraftBatch) and counted from one
+// (FrequencyProtocol::AccumulateSupportsBatch), so each protocol runs
+// one tight specialized loop over the field arrays (value histogram
+// for GRR, per-column bit sums for the unary family, item-block x
+// report-block tiles for local hashing).
 //
-// Three modes:
+// Two modes:
 //
-//  * Builder mode — the primary hot path.  A ReportBatch::Builder
-//    writes straight into the SoA field arrays (seeds[], values[],
-//    packed bit rows): protocol generation overrides
-//    (FrequencyProtocol::AppendGenuineReports) and attack crafting
-//    overrides (Attack::CraftBatch) produce reports here without a
-//    per-user Report ever materializing.
+//  * Builder mode — owned SoA storage.  A ReportBatch::Builder
+//    writes straight into the field arrays (seeds[], values[], packed
+//    bit rows) without a per-user Report ever materializing.
 //  * View mode — Slice() of a builder batch: borrowed pointers into
 //    the parent's SoA arrays (the unit the sharded aggregator hands
 //    each worker).  Appending to the parent invalidates slices.
-//  * Span mode — a zero-copy view over a contiguous Report array,
-//    kept as a compat shim for AoS call sites (tests, small tools).
-//    Span batches expose only span()/ExtractReport(); there is no SoA
-//    materialization — protocols that want field arrays gather their
-//    own tiles.
+//
+// The converting constructor from std::vector<Report> is the one
+// AoS -> SoA entry point; it copies the rows into builder mode.  The
+// library itself never relies on it — it exists for tests, examples
+// and callers outside the library that hold materialized reports.
 //
 // Determinism: support counts are sums of 1.0's, exactly
 // representable integers far below 2^53, so *any* regrouping of the
-// additions yields byte-identical doubles.  Every batched override
+// additions yields byte-identical doubles.  Every batched kernel
 // exploits exactly this — accumulate integer subtotals, add each
-// subtotal once — and therefore matches the per-report path bit for
-// bit (enforced by tests/aggregation_batch_test.cc and
-// tests/report_gen_batch_test.cc).
+// subtotal once — as do the flush buffers and sharded partial sums
+// (see "Exact support-count sums" in docs/architecture.md).
 //
 // A builder-mode batch is homogeneous: either every appended report
 // carries a bit row of the same width or none does (checked on
@@ -57,73 +52,53 @@ class ReportBatch {
   /// An empty builder-mode batch.
   ReportBatch() = default;
 
-  /// Span mode: a zero-copy view of `n` contiguous reports.  The span
-  /// must outlive the batch.
-  ReportBatch(const Report* reports, size_t n);
-  explicit ReportBatch(const std::vector<Report>& reports)
-      : ReportBatch(reports.data(), reports.size()) {}
+  /// Copies materialized reports into a builder-mode batch.  Every
+  /// report must agree on the presence and width of the bit row.
+  /// Deliberately implicit: a std::vector<Report> can be passed
+  /// wherever a `const ReportBatch&` is expected.
+  ReportBatch(const std::vector<Report>& reports);  // NOLINT
 
-  /// Builder mode: appends one report.  Every appended report must
-  /// agree on the presence and width of the bit row.  Not available
-  /// on span-mode or view-mode batches.
-  void Append(const Report& report);
-
-  /// Row-copies report i of `src` (any mode) into this builder-mode
-  /// batch without materializing a Report — the survivor path of the
-  /// detection flush buffers.
+  /// Row-copies report i of `src` (either mode) into this
+  /// builder-mode batch without materializing a Report — the subset
+  /// and survivor path of the k-means and detection flush buffers.
   void AppendFrom(const ReportBatch& src, size_t i);
 
-  /// Drops all reports (and any span/slice view) but keeps allocated
+  /// Drops all reports (and any slice view) but keeps allocated
   /// capacity — lets a streaming producer reuse one batch as a flush
   /// buffer.
   void Clear();
 
-  /// Pre-allocates builder-mode room for `n` reports whose bit rows
-  /// are `bits_width` wide (0 for bit-less encodings).
-  void Reserve(size_t n, size_t bits_width);
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Span mode only: the underlying contiguous Report array.  Null in
-  /// builder/view mode.
-  const Report* span() const { return span_; }
-  bool has_span() const { return span_ != nullptr; }
-
-  /// Width of each bit row; 0 when the reports carry no bits.  In
-  /// span mode this is the first report's width.
+  /// Width of each bit row; 0 when the reports carry no bits.
   size_t bits_width() const { return bits_width_; }
 
-  /// SoA field arrays, each of length size().  Builder/view mode
-  /// only — span batches have no SoA arrays (use span() or
-  /// ExtractReport).
+  /// SoA field arrays, each of length size().
   const uint64_t* seeds() const;
   const uint32_t* values() const;
 
   /// Base of the packed row-major bit matrix (size() x bits_width()
-  /// bytes).  Builder/view mode with bits_width() > 0 only.
+  /// bytes).  Requires bits_width() > 0.
   const uint8_t* bits() const;
 
   /// Row i of the packed bit matrix (bits_width() bytes).
   const uint8_t* bits_row(size_t i) const { return bits() + i * bits_width_; }
 
-  /// View mode: a borrowed sub-range [begin, end) of this builder- or
-  /// view-mode batch's SoA arrays.  O(1), no copy.  The parent must
+  /// View mode: a borrowed sub-range [begin, end) of this batch's SoA
+  /// arrays.  O(1), no copy.  The parent must
   /// outlive the slice and must not be appended to while slices are
   /// live.
   ReportBatch Slice(size_t begin, size_t end) const;
 
-  /// Reconstructs report i into `out`, reusing out.bits storage — the
-  /// building block of the generic per-report fallback in
-  /// FrequencyProtocol::AccumulateSupportsBatch.  Works in any mode.
+  /// Reconstructs report i into `out`, reusing out.bits storage — how
+  /// FrequencyProtocol::Perturb and Attack::Craft hand single reports
+  /// to callers that want them materialized.
   void ExtractReport(size_t i, Report& out) const;
 
  private:
-  bool is_builder() const {
-    return span_ == nullptr && seeds_view_ == nullptr;
-  }
+  bool is_builder() const { return seeds_view_ == nullptr; }
 
-  const Report* span_ = nullptr;
   size_t size_ = 0;
   size_t bits_width_ = 0;  // fixed by the first bit-carrying report
   // View mode: borrowed SoA pointers into a parent batch.
@@ -147,10 +122,14 @@ class ReportBatch::Builder {
   explicit Builder(ReportBatch& batch);
 
   /// Fixes the bit-row width before the first AddBitsRow (idempotent;
-  /// must agree with any width the batch already has).
+  /// must agree with any width the batch already has).  Rows reserved
+  /// while the width was still unknown get their bit storage here.
   void SetBitsWidth(size_t width);
 
-  /// Pre-allocates room for `n` more reports.
+  /// Ensures room for `n` more reports.  Capacity grows
+  /// geometrically (to at least twice the current capacity), so a
+  /// producer appending one report at a time reallocates O(log m)
+  /// times over m appends.
   void Reserve(size_t n);
 
   /// Appends a value-only report (GRR).  seed is 0.
@@ -163,9 +142,6 @@ class ReportBatch::Builder {
   /// SetBitsWidth() bytes for the caller to fill in place.  The
   /// pointer is invalidated by the next append.
   uint8_t* AddBitsRow();
-
-  /// Compat append of a materialized Report (the generic fallbacks).
-  void Add(const Report& report) { batch_->Append(report); }
 
   size_t size() const { return batch_->size_; }
   const ReportBatch& batch() const { return *batch_; }

@@ -98,7 +98,7 @@ std::vector<uint8_t> TwoMeansCluster(
 }
 
 KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
-                                     const std::vector<Report>& reports,
+                                     const ReportBatch& reports,
                                      const KMeansDefenseOptions& options,
                                      Rng& rng) {
   LDPR_CHECK(!reports.empty());
@@ -116,11 +116,25 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
   std::vector<std::vector<uint32_t>> members(num_subsets);
   for (size_t i = 0; i < n; ++i) members[i % num_subsets].push_back(order[i]);
 
+  // Aggregate each subset through one reused flush buffer of at most
+  // kBatchFlushReports rows, so the gather costs no more memory than
+  // Detection's survivor buffer.
   KMeansDefenseResult result;
   result.subset_estimates.reserve(num_subsets);
+  std::vector<Aggregator> subsets;
+  subsets.reserve(num_subsets);
+  ReportBatch buffer;
   for (const auto& subset : members) {
-    Aggregator agg(protocol);
-    for (uint32_t idx : subset) agg.Add(reports[idx]);
+    Aggregator& agg = subsets.emplace_back(protocol);
+    for (uint32_t idx : subset) {
+      buffer.AppendFrom(reports, idx);
+      if (buffer.size() >= kBatchFlushReports) {
+        agg.AddAll(buffer);
+        buffer.Clear();
+      }
+    }
+    if (!buffer.empty()) agg.AddAll(buffer);
+    buffer.Clear();
     result.subset_estimates.push_back(agg.EstimateFrequencies());
   }
 
@@ -132,13 +146,15 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
   result.malicious_subset_fraction =
       static_cast<double>(malicious_subsets) / static_cast<double>(num_subsets);
 
-  // Re-aggregate over the *users* of each cluster: the defense keeps
-  // only the genuine cluster's reports.
+  // Aggregate over the *users* of each cluster — the defense keeps
+  // only the genuine cluster's reports — as sums of the subset
+  // counts (integer-valued, so the sums are exact).
   Aggregator genuine(protocol);
   Aggregator malicious(protocol);
   for (size_t s = 0; s < num_subsets; ++s) {
     Aggregator& sink = result.subset_is_malicious[s] ? malicious : genuine;
-    for (uint32_t idx : members[s]) sink.Add(reports[idx]);
+    sink.AddSampledCounts(subsets[s].support_counts(),
+                          subsets[s].report_count());
   }
   LDPR_CHECK(genuine.report_count() > 0);
   result.genuine_estimate = genuine.EstimateFrequencies();
@@ -148,7 +164,7 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
 }
 
 std::vector<double> LdpRecoverKm(const FrequencyProtocol& protocol,
-                                 const std::vector<Report>& reports,
+                                 const ReportBatch& reports,
                                  const KMeansDefenseOptions& options,
                                  double eta, Rng& rng) {
   const KMeansDefenseResult defense =

@@ -62,7 +62,7 @@ std::vector<uint8_t> TwoMeansCluster(
 /// Runs the subset-sampling + clustering defense over the given
 /// reports.  The protocol reference must outlive the call.
 KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
-                                     const std::vector<Report>& reports,
+                                     const ReportBatch& reports,
                                      const KMeansDefenseOptions& options,
                                      Rng& rng);
 
@@ -70,7 +70,7 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
 /// into LDPRecover (malicious-frequency override + KKT refinement).
 /// `eta` follows the usual RecoverOptions semantics.
 std::vector<double> LdpRecoverKm(const FrequencyProtocol& protocol,
-                                 const std::vector<Report>& reports,
+                                 const ReportBatch& reports,
                                  const KMeansDefenseOptions& options,
                                  double eta, Rng& rng);
 

@@ -128,25 +128,25 @@ namespace {
 
 constexpr size_t kByteLaneRows = 255;
 
-template <typename RowAt>
-void UnaryColumnsScalar(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
+void UnaryColumnsScalar(const uint8_t* rows, size_t n, size_t d,
+                        uint32_t* acc) {
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t* row = row_at(i);
+    const uint8_t* row = rows + i * d;
     for (size_t v = 0; v < d; ++v) acc[v] += (row[v] != 0);
   }
 }
 
 #if defined(LDPR_SIMD_X86)
 
-template <typename RowAt>
-void UnaryColumnsSse2(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
+void UnaryColumnsSse2(const uint8_t* rows, size_t n, size_t d,
+                      uint32_t* acc) {
   std::vector<uint8_t> acc8(d);
   const __m128i one = _mm_set1_epi8(1);
   for (size_t base = 0; base < n; base += kByteLaneRows) {
-    const size_t rows = std::min(n - base, kByteLaneRows);
+    const size_t tile_rows = std::min(n - base, kByteLaneRows);
     std::memset(acc8.data(), 0, d);
-    for (size_t i = 0; i < rows; ++i) {
-      const uint8_t* row = row_at(base + i);
+    for (size_t i = 0; i < tile_rows; ++i) {
+      const uint8_t* row = rows + (base + i) * d;
       size_t v = 0;
       for (; v + 16 <= d; v += 16) {
         const __m128i x = _mm_loadu_si128(
@@ -162,17 +162,16 @@ void UnaryColumnsSse2(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
   }
 }
 
-template <typename RowAt>
-__attribute__((target("avx2"))) void UnaryColumnsAvx2(RowAt row_at, size_t n,
-                                                      size_t d,
+__attribute__((target("avx2"))) void UnaryColumnsAvx2(const uint8_t* rows,
+                                                      size_t n, size_t d,
                                                       uint32_t* acc) {
   std::vector<uint8_t> acc8(d);
   const __m256i one = _mm256_set1_epi8(1);
   for (size_t base = 0; base < n; base += kByteLaneRows) {
-    const size_t rows = std::min(n - base, kByteLaneRows);
+    const size_t tile_rows = std::min(n - base, kByteLaneRows);
     std::memset(acc8.data(), 0, d);
-    for (size_t i = 0; i < rows; ++i) {
-      const uint8_t* row = row_at(base + i);
+    for (size_t i = 0; i < tile_rows; ++i) {
+      const uint8_t* row = rows + (base + i) * d;
       size_t v = 0;
       for (; v + 32 <= d; v += 32) {
         const __m256i x = _mm256_loadu_si256(
@@ -192,15 +191,15 @@ __attribute__((target("avx2"))) void UnaryColumnsAvx2(RowAt row_at, size_t n,
 
 #if defined(LDPR_SIMD_NEON)
 
-template <typename RowAt>
-void UnaryColumnsNeon(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
+void UnaryColumnsNeon(const uint8_t* rows, size_t n, size_t d,
+                      uint32_t* acc) {
   std::vector<uint8_t> acc8(d);
   const uint8x16_t one = vdupq_n_u8(1);
   for (size_t base = 0; base < n; base += kByteLaneRows) {
-    const size_t rows = std::min(n - base, kByteLaneRows);
+    const size_t tile_rows = std::min(n - base, kByteLaneRows);
     std::memset(acc8.data(), 0, d);
-    for (size_t i = 0; i < rows; ++i) {
-      const uint8_t* row = row_at(base + i);
+    for (size_t i = 0; i < tile_rows; ++i) {
+      const uint8_t* row = rows + (base + i) * d;
       size_t v = 0;
       for (; v + 16 <= d; v += 16) {
         const uint8x16_t x = vld1q_u8(row + v);
@@ -216,24 +215,24 @@ void UnaryColumnsNeon(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
 
 #endif  // LDPR_SIMD_NEON
 
-template <typename RowAt>
-void UnaryColumnsDispatch(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
+void UnaryColumnsDispatch(const uint8_t* rows, size_t n, size_t d,
+                          uint32_t* acc) {
   switch (ActiveSimdBackend()) {
 #if defined(LDPR_SIMD_X86)
     case SimdBackend::kAvx2:
-      UnaryColumnsAvx2(row_at, n, d, acc);
+      UnaryColumnsAvx2(rows, n, d, acc);
       return;
     case SimdBackend::kSse2:
-      UnaryColumnsSse2(row_at, n, d, acc);
+      UnaryColumnsSse2(rows, n, d, acc);
       return;
 #endif
 #if defined(LDPR_SIMD_NEON)
     case SimdBackend::kNeon:
-      UnaryColumnsNeon(row_at, n, d, acc);
+      UnaryColumnsNeon(rows, n, d, acc);
       return;
 #endif
     default:
-      UnaryColumnsScalar(row_at, n, d, acc);
+      UnaryColumnsScalar(rows, n, d, acc);
       return;
   }
 }
@@ -243,14 +242,7 @@ void UnaryColumnsDispatch(RowAt row_at, size_t n, size_t d, uint32_t* acc) {
 void SimdUnaryColumnsAddPacked(const uint8_t* rows, size_t n, size_t d,
                                uint32_t* acc) {
   LDPR_CHECK(n < (uint64_t{1} << 32));
-  UnaryColumnsDispatch([rows, d](size_t i) { return rows + i * d; }, n, d,
-                       acc);
-}
-
-void SimdUnaryColumnsAddRows(const uint8_t* const* rows, size_t n, size_t d,
-                             uint32_t* acc) {
-  LDPR_CHECK(n < (uint64_t{1} << 32));
-  UnaryColumnsDispatch([rows](size_t i) { return rows[i]; }, n, d, acc);
+  UnaryColumnsDispatch(rows, n, d, acc);
 }
 
 // ==================================================================

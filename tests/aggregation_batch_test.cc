@@ -1,10 +1,10 @@
 // Locks in the batched-aggregation contract of ldp/report_batch.h:
-// every AccumulateSupportsBatch override (and the generic fallback)
-// produces support counts byte-identical to the per-report
-// AccumulateSupports loop, for every factory protocol, through the
-// sharded and unsharded Aggregator routes, at batch sizes straddling
-// the kReportsPerAggregationShard chunk boundary, and through the
-// DetectionFilter's kept-report accumulation.
+// support counts are integer sums, so they agree byte for byte across
+// the GRR kernel's dense and sparse regimes and across the sharded and
+// unsharded Aggregator routes at batch sizes straddling the
+// kReportsPerAggregationShard chunk boundary; plus the ReportBatch
+// container itself (the AoS conversion, Clear reuse, bit-width
+// homogeneity, geometric capacity growth).
 
 #include <cstddef>
 #include <vector>
@@ -15,64 +15,48 @@
 #include "ldp/factory.h"
 #include "ldp/protocol.h"
 #include "ldp/report_batch.h"
-#include "recover/detection.h"
 #include "util/random.h"
 
 namespace ldpr {
 namespace {
 
-// A mixed report stream: genuine perturbed reports plus MGA-crafted
+// A mixed report batch: MGA-crafted reports plus genuine perturbed
 // ones (the report-heavy hot path the batch layer exists for).
-std::vector<Report> MakeReports(const FrequencyProtocol& proto, size_t n,
-                                uint64_t seed) {
+ReportBatch MakeReports(const FrequencyProtocol& proto, size_t n,
+                        uint64_t seed) {
   Rng rng(seed);
-  std::vector<Report> reports;
-  reports.reserve(n);
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
   const size_t crafted = n / 3;
   if (crafted > 0) {
     const MgaAttack mga(MgaAttack::SampleTargets(proto.domain_size(),
                                                  /*r=*/5, rng));
-    reports = mga.Craft(proto, crafted, rng);
+    mga.CraftBatch(proto, crafted, rng, builder);
   }
   for (size_t i = reports.size(); i < n; ++i) {
-    reports.push_back(
-        proto.Perturb(static_cast<ItemId>(i % proto.domain_size()), rng));
+    proto.AppendGenuineReports(static_cast<ItemId>(i % proto.domain_size()),
+                               1, rng, builder);
   }
   return reports;
 }
 
-std::vector<double> PerReportCounts(const FrequencyProtocol& proto,
-                                    const std::vector<Report>& reports) {
-  std::vector<double> counts(proto.domain_size(), 0.0);
-  for (const Report& r : reports) proto.AccumulateSupports(r, counts);
+// GRR support is the reported value: the reference is a plain value
+// histogram.
+std::vector<double> GrrValueHistogram(const ReportBatch& reports, size_t d) {
+  std::vector<double> counts(d, 0.0);
+  for (size_t i = 0; i < reports.size(); ++i) counts[reports.values()[i]] += 1;
   return counts;
-}
-
-TEST(AggregationBatchTest, BatchMatchesPerReportForAllProtocols) {
-  for (ProtocolKind kind : kExtendedProtocolKinds) {
-    const auto proto = MakeProtocol(kind, /*d=*/37, /*epsilon=*/1.0);
-    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{300}}) {
-      const std::vector<Report> reports = MakeReports(*proto, n, 11 + n);
-      const ReportBatch batch(reports);
-      std::vector<double> batched(proto->domain_size(), 0.0);
-      proto->AccumulateSupportsBatch(batch, batched);
-      // operator== on vector<double> is bitwise equality here: all
-      // entries are exact small integers.
-      EXPECT_EQ(batched, PerReportCounts(*proto, reports))
-          << ProtocolKindName(kind) << " n=" << n;
-    }
-  }
 }
 
 TEST(AggregationBatchTest, GrrDenseAndSparseRegimesAgree) {
   // d chosen so n=300 takes the histogram branch and n=20 the direct
-  // branch; both must match the per-report loop exactly.
+  // branch (n < d/4); both must count exactly the reported values.
   const auto grr = MakeProtocol(ProtocolKind::kGrr, 128, 0.5);
   for (size_t n : {size_t{20}, size_t{300}}) {
-    const std::vector<Report> reports = MakeReports(*grr, n, 3);
+    const ReportBatch reports = MakeReports(*grr, n, 3);
     std::vector<double> batched(grr->domain_size(), 0.0);
-    grr->AccumulateSupportsBatch(ReportBatch(reports), batched);
-    EXPECT_EQ(batched, PerReportCounts(*grr, reports)) << n;
+    grr->AccumulateSupportsBatch(reports, batched);
+    EXPECT_EQ(batched, GrrValueHistogram(reports, grr->domain_size())) << n;
   }
 }
 
@@ -82,8 +66,8 @@ TEST(AggregationBatchTest, AggregatorRoutesMatchAtChunkBoundaries) {
   const size_t chunk = kReportsPerAggregationShard;
   const auto proto = MakeProtocol(ProtocolKind::kGrr, 23, 1.0);
   for (size_t n : {chunk - 1, chunk, chunk + 1, 2 * chunk + 13}) {
-    const std::vector<Report> reports = MakeReports(*proto, n, n);
-    const std::vector<double> reference = PerReportCounts(*proto, reports);
+    const ReportBatch reports = MakeReports(*proto, n, n);
+    const std::vector<double> reference = GrrValueHistogram(reports, 23);
 
     Aggregator unsharded(*proto);
     unsharded.AddAll(reports);
@@ -101,77 +85,17 @@ TEST(AggregationBatchTest, AggregatorRoutesMatchAtChunkBoundaries) {
 }
 
 TEST(AggregationBatchTest, ShardedMatchesUnshardedForSupportSetProtocols) {
-  // Every factory protocol crosses the chunk boundary, at a smaller
-  // domain (the O(d)-per-report reference loop is the expensive part).
+  // Every factory protocol crosses the chunk boundary.
   const size_t chunk = kReportsPerAggregationShard;
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     const auto proto = MakeProtocol(kind, 16, 1.0);
     const size_t n = chunk + 37;
-    const std::vector<Report> reports = MakeReports(*proto, n, 7);
+    const ReportBatch reports = MakeReports(*proto, n, 7);
     Aggregator all(*proto);
     all.AddAll(reports);
     Aggregator sharded(*proto);
     sharded.AddAllSharded(reports, 3);
     EXPECT_EQ(all.support_counts(), sharded.support_counts())
-        << ProtocolKindName(kind);
-  }
-}
-
-// A protocol with no batched override: exercises the generic
-// ExtractReport fallback (GRR-shaped, but Supports-driven).
-class FallbackProtocol final : public FrequencyProtocol {
- public:
-  FallbackProtocol() : FrequencyProtocol(13, 1.0) {}
-  ProtocolKind kind() const override { return ProtocolKind::kGrr; }
-  std::string Name() const override { return "fallback"; }
-  double p() const override { return 0.7; }
-  double q() const override { return 0.1; }
-  Report Perturb(ItemId item, Rng& rng) const override {
-    Report r;
-    r.value = static_cast<uint32_t>((item + rng.UniformU64(3)) % d_);
-    return r;
-  }
-  bool Supports(const Report& report, ItemId item) const override {
-    return report.value % 5 == item % 5;
-  }
-  double CountVariance(double, size_t) const override { return 1.0; }
-  Report CraftSupportingReport(ItemId item, Rng&) const override {
-    Report r;
-    r.value = item;
-    return r;
-  }
-};
-
-TEST(AggregationBatchTest, DefaultBatchImplementationReplaysPerReportLoop) {
-  const FallbackProtocol proto;
-  Rng rng(5);
-  std::vector<Report> reports;
-  for (size_t i = 0; i < 200; ++i)
-    reports.push_back(proto.Perturb(static_cast<ItemId>(i % 13), rng));
-  std::vector<double> batched(13, 0.0);
-  proto.AccumulateSupportsBatch(ReportBatch(reports), batched);
-  EXPECT_EQ(batched, PerReportCounts(proto, reports));
-}
-
-TEST(AggregationBatchTest, DetectionOfferAllMatchesPerReportOffer) {
-  for (ProtocolKind kind : kExtendedProtocolKinds) {
-    const auto proto = MakeProtocol(kind, 24, 1.0);
-    Rng rng(9);
-    const std::vector<ItemId> targets = {1, 5, 17};
-    const MgaAttack mga(targets);
-    std::vector<Report> reports = mga.Craft(*proto, 150, rng);
-    for (size_t i = 0; i < 400; ++i)
-      reports.push_back(proto->Perturb(static_cast<ItemId>(i % 24), rng));
-
-    DetectionFilter batched(*proto, targets);
-    batched.OfferAll(reports);
-    DetectionFilter per_report(*proto, targets);
-    for (const Report& r : reports) per_report.Offer(r);
-
-    EXPECT_EQ(batched.offered(), per_report.offered()) << ProtocolKindName(kind);
-    EXPECT_EQ(batched.kept(), per_report.kept()) << ProtocolKindName(kind);
-    ASSERT_GT(batched.kept(), 0u) << ProtocolKindName(kind);
-    EXPECT_EQ(batched.Estimate(), per_report.Estimate())
         << ProtocolKindName(kind);
   }
 }
@@ -195,27 +119,60 @@ TEST(ReportBatchTest, ExtractReportRoundTrips) {
 
 TEST(ReportBatchTest, ClearReusesAsFlushBuffer) {
   const auto grr = MakeProtocol(ProtocolKind::kGrr, 6, 1.0);
+  const auto oue = MakeProtocol(ProtocolKind::kOue, 6, 1.0);
   Rng rng(8);
+  const ReportBatch grr_rows(std::vector<Report>{grr->Perturb(2, rng)});
+  const ReportBatch oue_rows(std::vector<Report>{oue->Perturb(3, rng)});
   ReportBatch batch;
-  batch.Append(grr->Perturb(2, rng));
+  batch.AppendFrom(grr_rows, 0);
   EXPECT_EQ(batch.size(), 1u);
   batch.Clear();
   EXPECT_TRUE(batch.empty());
-  const auto oue = MakeProtocol(ProtocolKind::kOue, 6, 1.0);
-  batch.Append(oue->Perturb(3, rng));  // width re-learned after Clear
+  batch.AppendFrom(oue_rows, 0);  // width re-learned after Clear
   EXPECT_EQ(batch.bits_width(), 6u);
 }
 
 TEST(ReportBatchDeathTest, RejectsMixedBitWidths) {
-  ReportBatch batch;
   Report with_bits;
   with_bits.bits.assign(4, 0);
-  batch.Append(with_bits);
   Report without_bits;
-  EXPECT_DEATH(batch.Append(without_bits), "LDPR_CHECK");
   Report wrong_width;
   wrong_width.bits.assign(5, 0);
-  EXPECT_DEATH(batch.Append(wrong_width), "LDPR_CHECK");
+  EXPECT_DEATH(ReportBatch(std::vector<Report>{with_bits, without_bits}),
+               "LDPR_CHECK");
+  EXPECT_DEATH(ReportBatch(std::vector<Report>{with_bits, wrong_width}),
+               "LDPR_CHECK");
+}
+
+// Producers that append one report at a time (input poisoning, the
+// arrival stream, Perturb) must not reallocate per append: capacity
+// grows geometrically, so m single-row appends move the field arrays
+// O(log m) times.
+TEST(ReportBatchTest, SingleRowAppendsReallocateLogarithmically) {
+  constexpr size_t kRows = 4096;
+  constexpr size_t kMaxMoves = 12 + 2;  // ceil(log2 4096) + 2
+  for (ProtocolKind kind :
+       {ProtocolKind::kGrr, ProtocolKind::kOlh, ProtocolKind::kOue}) {
+    const auto proto = MakeProtocol(kind, 64, 1.0);
+    Rng rng(10);
+    ReportBatch batch;
+    ReportBatch::Builder builder(batch);
+    const void* last_seeds = nullptr;
+    const void* last_bits = nullptr;
+    size_t seed_moves = 0, bit_moves = 0;
+    for (size_t i = 0; i < kRows; ++i) {
+      proto->AppendGenuineReports(static_cast<ItemId>(i % 64), 1, rng,
+                                  builder);
+      if (batch.seeds() != last_seeds) ++seed_moves;
+      last_seeds = batch.seeds();
+      if (batch.bits_width() > 0) {
+        if (batch.bits() != last_bits) ++bit_moves;
+        last_bits = batch.bits();
+      }
+    }
+    EXPECT_LE(seed_moves, kMaxMoves) << ProtocolKindName(kind);
+    EXPECT_LE(bit_moves, kMaxMoves) << ProtocolKindName(kind);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "ldp/grr.h"
 #include "ldp/olh.h"
 #include "ldp/oue.h"
+#include "test_reports.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -21,21 +22,64 @@ TEST(DetectionFilterTest, FlagsReportsSupportingTargets) {
   hit.value = 3;
   Report miss;
   miss.value = 4;
-  EXPECT_TRUE(filter.IsSuspicious(hit));
-  EXPECT_FALSE(filter.IsSuspicious(miss));
+  filter.OfferAll(std::vector<Report>{hit});
+  EXPECT_EQ(filter.kept(), 0u);
+  filter.OfferAll(std::vector<Report>{miss});
+  EXPECT_EQ(filter.kept(), 1u);
 }
 
-TEST(DetectionFilterTest, OfferDropsSuspicious) {
+TEST(DetectionFilterTest, OfferAllDropsSuspicious) {
   const Grr grr(10, 0.5);
   DetectionFilter filter(grr, {0});
   Report hit, miss;
   hit.value = 0;
   miss.value = 5;
-  filter.Offer(hit);
-  filter.Offer(miss);
-  filter.Offer(miss);
+  filter.OfferAll(std::vector<Report>{hit, miss, miss});
   EXPECT_EQ(filter.offered(), 3u);
   EXPECT_EQ(filter.kept(), 2u);
+  std::vector<double> kept_counts(10, 0.0);
+  kept_counts[5] = 2.0;
+  EXPECT_EQ(filter.Estimate(), grr.EstimateFrequencies(kept_counts, 2));
+}
+
+// The classification rule, stated through the support counter: a
+// report is dropped iff it supports at least threshold() targets, and
+// the estimate is over exactly the survivors.  Checked for every
+// protocol on a mix of genuine and MGA reports that straddles the
+// kBatchFlushReports survivor flush.
+TEST(DetectionFilterTest, KeepsExactlyReportsBelowThreshold) {
+  for (ProtocolKind kind : kExtendedProtocolKinds) {
+    const auto proto = MakeProtocol(kind, 24, 1.0);
+    const std::vector<ItemId> targets = {1, 5, 17};
+    Rng rng(9);
+    ReportBatch reports;
+    ReportBatch::Builder builder(reports);
+    MgaAttack(targets).CraftBatch(*proto, 150, rng, builder);
+    for (size_t i = 0; i < kBatchFlushReports + 300; ++i) {
+      const ItemId item = static_cast<ItemId>(i % 24);
+      proto->AppendGenuineReports(item, 1, rng, builder);
+    }
+
+    DetectionFilter filter(*proto, targets);
+    filter.OfferAll(reports);
+
+    std::vector<Report> survivors;
+    Report report;
+    for (size_t i = 0; i < reports.size(); ++i) {
+      reports.ExtractReport(i, report);
+      const std::vector<double> support = SupportVector(*proto, report);
+      size_t supported = 0;
+      for (ItemId t : targets) supported += support[t] != 0.0;
+      if (supported < filter.threshold()) survivors.push_back(report);
+    }
+    EXPECT_EQ(filter.offered(), reports.size()) << ProtocolKindName(kind);
+    ASSERT_EQ(filter.kept(), survivors.size()) << ProtocolKindName(kind);
+    ASSERT_GT(survivors.size(), 0u) << ProtocolKindName(kind);
+    Aggregator kept(*proto);
+    kept.AddAll(survivors);
+    EXPECT_EQ(filter.Estimate(), kept.EstimateFrequencies())
+        << ProtocolKindName(kind);
+  }
 }
 
 TEST(DetectionFilterTest, RemovesAllMgaReports) {
@@ -72,8 +116,13 @@ TEST(DetectionFilterTest, OueCollateralDamageMatchesTheory) {
   Rng rng(2);
   DetectionFilter filter(oue, {0, 1, 2});
   const size_t n = 20000;
-  for (size_t i = 0; i < n; ++i)
-    filter.Offer(oue.Perturb(static_cast<ItemId>(10 + i % 20), rng));
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
+  for (size_t i = 0; i < n; ++i) {
+    const ItemId item = static_cast<ItemId>(10 + i % 20);
+    oue.AppendGenuineReports(item, 1, rng, builder);
+  }
+  filter.OfferAll(reports);
   const double keep_rate =
       static_cast<double>(filter.kept()) / static_cast<double>(n);
   const double expected = 1.0 - std::pow(oue.q(), static_cast<double>(r));
@@ -84,8 +133,8 @@ TEST(DetectionFilterTest, OueCollateralDamageMatchesTheory) {
   EXPECT_LT(freqs[0], 0.005);
 }
 
-// The fast sampled path matches the streaming path in expectation for
-// each protocol that has one.
+// The fast sampled path matches exact per-user simulation in
+// expectation for each protocol that has one.
 class DetectionFastPathTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(DetectionFastPathTest, FastAndStreamingAgree) {
@@ -104,10 +153,7 @@ TEST_P(DetectionFastPathTest, FastAndStreamingAgree) {
     fast_f10.Add(fast.Estimate()[10]);
 
     DetectionFilter slow(*proto, targets);
-    for (ItemId item = 0; item < d; ++item) {
-      for (uint64_t u = 0; u < item_counts[item]; ++u)
-        slow.Offer(proto->Perturb(item, rng));
-    }
+    slow.OfferExactGenuine(item_counts, rng);
     slow_kept.Add(static_cast<double>(slow.kept()));
     slow_f10.Add(slow.Estimate()[10]);
   }
@@ -176,7 +222,7 @@ TEST(DetectionFilterTest, ResetWindowLeavesNoCrossWindowState) {
     }
 
     DetectionFilter streaming(*proto, targets);
-    streaming.OfferStreaming(window_a);
+    streaming.OfferAll(window_a);
     const size_t a_offered = streaming.offered();
     const size_t a_kept = streaming.kept();
     EXPECT_EQ(a_offered, window_a.size());
@@ -185,11 +231,11 @@ TEST(DetectionFilterTest, ResetWindowLeavesNoCrossWindowState) {
     streaming.ResetWindow();
     EXPECT_EQ(streaming.offered(), 0u);
     EXPECT_EQ(streaming.kept(), 0u);
-    streaming.OfferStreaming(window_b);
+    streaming.OfferAll(window_b);
 
     // A fresh filter that never saw window A.
     DetectionFilter fresh(*proto, targets);
-    fresh.OfferStreaming(window_b);
+    fresh.OfferAll(window_b);
 
     EXPECT_EQ(streaming.offered(), fresh.offered()) << ProtocolKindName(kind);
     EXPECT_EQ(streaming.kept(), fresh.kept()) << ProtocolKindName(kind);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_reports.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -52,16 +53,15 @@ TEST(GrrTest, SupportIsExactlyTheReportedItem) {
   const Grr grr(6, 1.0);
   Report r;
   r.value = 4;
-  for (ItemId v = 0; v < 6; ++v) EXPECT_EQ(grr.Supports(r, v), v == 4);
+  for (ItemId v = 0; v < 6; ++v) EXPECT_EQ(Supports(grr, r, v), v == 4);
 }
 
-TEST(GrrTest, AccumulateSupportsAddsOneCount) {
+TEST(GrrTest, AccumulateSupportsBatchAddsOneCountPerReport) {
   const Grr grr(3, 1.0);
   std::vector<double> counts(3, 0.0);
   Report r;
   r.value = 2;
-  grr.AccumulateSupports(r, counts);
-  grr.AccumulateSupports(r, counts);
+  grr.AccumulateSupportsBatch(std::vector<Report>{r, r}, counts);
   EXPECT_DOUBLE_EQ(counts[2], 2.0);
   EXPECT_DOUBLE_EQ(counts[0], 0.0);
 }
@@ -123,12 +123,13 @@ TEST(GrrTest, EmpiricalVarianceMatchesTheory) {
   EXPECT_NEAR(est.variance(), theory, 0.35 * theory);
 }
 
-TEST(GrrTest, CraftSupportingReportIsDeterministicSupport) {
+TEST(GrrTest, CraftedReportIsDeterministicSupport) {
   const Grr grr(7, 0.5);
   Rng rng(7);
   for (ItemId v = 0; v < 7; ++v) {
-    const Report r = grr.CraftSupportingReport(v, rng);
-    EXPECT_TRUE(grr.Supports(r, v));
+    std::vector<double> only_v(7, 0.0);
+    only_v[v] = 1.0;
+    EXPECT_EQ(SupportVector(grr, CraftedReport(grr, v, rng)), only_v);
   }
 }
 

@@ -55,13 +55,16 @@ TEST(HarmonyTest, LdpRecoverRepairsPoisonedMean) {
   const size_t n = 60000;
   const size_t m = 6000;  // 10% fake users
 
-  Aggregator genuine(rr);
-  for (size_t i = 0; i < n; ++i) genuine.Add(h.Perturb(true_mean, rng));
+  std::vector<Report> genuine;
+  for (size_t i = 0; i < n; ++i) genuine.push_back(h.Perturb(true_mean, rng));
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  for (size_t i = 0; i < m; ++i)
+    rr.AppendCraftedReport(Harmony::kPlusOne, rng, builder);
 
   Aggregator all(rr);
-  for (size_t i = 0; i < n; ++i) all.Add(h.Perturb(true_mean, rng));
-  for (size_t i = 0; i < m; ++i)
-    all.Add(rr.CraftSupportingReport(Harmony::kPlusOne, rng));
+  all.AddAll(genuine);
+  all.AddAll(crafted);
 
   const double poisoned_mean =
       Harmony::MeanFromFrequencies(all.EstimateFrequencies());

@@ -61,8 +61,7 @@ TEST(IpaTest, WeakerThanGeneralMga) {
   auto run = [&](const Attack& attack) {
     auto counts = grr.SampleSupportCounts(item_counts, rng);
     const auto genuine = grr.EstimateFrequencies(counts, n);
-    for (const Report& r : attack.Craft(grr, m, rng))
-      grr.AccumulateSupports(r, counts);
+    grr.AccumulateSupportsBatch(attack.Craft(grr, m, rng), counts);
     const auto poisoned = grr.EstimateFrequencies(counts, n + m);
     return FrequencyGain(genuine, poisoned, targets);
   };

@@ -1,9 +1,13 @@
 #include "recover/kmeans_defense.h"
 
+#include <numeric>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "attack/ipa.h"
 #include "ldp/grr.h"
+#include "ldp/oue.h"
 #include "util/math_util.h"
 #include "util/metrics.h"
 
@@ -35,17 +39,15 @@ TEST(TwoMeansTest, MinorityIsAlwaysLabelOne) {
 }
 
 // Builds an IPA-poisoned report set over a uniform population.
-std::vector<Report> MakePoisonedReports(const Grr& grr, size_t n, size_t m,
-                                        const std::vector<ItemId>& targets,
-                                        Rng& rng) {
-  std::vector<Report> reports;
-  reports.reserve(n + m);
-  const size_t d = grr.domain_size();
+ReportBatch MakePoisonedReports(const FrequencyProtocol& protocol, size_t n,
+                                size_t m, const std::vector<ItemId>& targets,
+                                Rng& rng) {
+  ReportBatch reports;
+  ReportBatch::Builder builder(reports);
+  const size_t d = protocol.domain_size();
   for (size_t i = 0; i < n; ++i)
-    reports.push_back(grr.Perturb(static_cast<ItemId>(i % d), rng));
-  const auto ipa = MakeMgaIpa(d, targets);
-  auto crafted = ipa->Craft(grr, m, rng);
-  std::move(crafted.begin(), crafted.end(), std::back_inserter(reports));
+    protocol.AppendGenuineReports(static_cast<ItemId>(i % d), 1, rng, builder);
+  MakeMgaIpa(d, targets)->CraftBatch(protocol, m, rng, builder);
   return reports;
 }
 
@@ -77,6 +79,52 @@ TEST(KMeansDefenseTest, GenuineEstimateTracksPopulation) {
     EXPECT_NEAR(result.genuine_estimate[v], 0.1, 0.05);
   }
   EXPECT_GT(result.genuine_estimate[3], 0.1);
+}
+
+// Every subset and cluster estimate is the plain aggregate of its
+// member rows.  The partition is replayed from the defense's leading
+// draws: a Fisher-Yates shuffle of the rows, dealt round-robin into
+// the subsets.  Subsets of 4500 unary rows cross the defense's
+// kBatchFlushReports gather buffer.
+TEST(KMeansDefenseTest, ClusterEstimatesAggregateTheirMemberRows) {
+  const Oue oue(12, 1.0);
+  Rng rng(9);
+  const ReportBatch reports =
+      MakePoisonedReports(oue, 16000, 2000, {0, 1}, rng);
+  KMeansDefenseOptions opts;
+  opts.sample_rate = 0.25;  // 4 disjoint subsets
+  Rng defense_rng = rng;
+  const auto result = RunKMeansDefense(oue, reports, opts, defense_rng);
+
+  const size_t num_subsets = 4;
+  std::vector<uint32_t> order(reports.size());
+  std::iota(order.begin(), order.end(), 0u);
+  for (size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.UniformU64(i)]);
+  std::vector<ReportBatch> members(num_subsets);
+  for (size_t i = 0; i < order.size(); ++i)
+    members[i % num_subsets].AppendFrom(reports, order[i]);
+
+  ASSERT_EQ(result.subset_estimates.size(), num_subsets);
+  ReportBatch cluster_rows[2];
+  for (size_t s = 0; s < num_subsets; ++s) {
+    Aggregator subset(oue);
+    subset.AddAll(members[s]);
+    EXPECT_EQ(result.subset_estimates[s], subset.EstimateFrequencies()) << s;
+    ReportBatch& cluster = cluster_rows[result.subset_is_malicious[s]];
+    for (size_t i = 0; i < members[s].size(); ++i)
+      cluster.AppendFrom(members[s], i);
+  }
+  Aggregator genuine(oue);
+  genuine.AddAll(cluster_rows[0]);
+  EXPECT_EQ(result.genuine_estimate, genuine.EstimateFrequencies());
+  if (cluster_rows[1].empty()) {
+    EXPECT_TRUE(result.malicious_estimate.empty());
+  } else {
+    Aggregator malicious(oue);
+    malicious.AddAll(cluster_rows[1]);
+    EXPECT_EQ(result.malicious_estimate, malicious.EstimateFrequencies());
+  }
 }
 
 TEST(LdpRecoverKmTest, OutputOnSimplex) {

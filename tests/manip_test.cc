@@ -7,6 +7,7 @@
 #include "ldp/grr.h"
 #include "ldp/olh.h"
 #include "ldp/oue.h"
+#include "test_reports.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -69,7 +70,7 @@ TEST(ManipTest, OlhReportsSupportTheirItem) {
   const auto reports = attack.Craft(olh, 100, rng);
   for (const Report& r : reports) {
     int supported = 0;
-    for (ItemId v = 0; v < 30; ++v) supported += olh.Supports(r, v) ? 1 : 0;
+    for (ItemId v = 0; v < 30; ++v) supported += Supports(olh, r, v) ? 1 : 0;
     EXPECT_GE(supported, 1);  // at least the chosen item
   }
 }
@@ -88,8 +89,7 @@ TEST(ManipTest, DistortsAggregatedDistribution) {
 
   const ManipAttack attack;
   auto poisoned_counts = genuine_counts;
-  for (const Report& r : attack.Craft(grr, m, rng))
-    grr.AccumulateSupports(r, poisoned_counts);
+  grr.AccumulateSupportsBatch(attack.Craft(grr, m, rng), poisoned_counts);
   const auto poisoned = grr.EstimateFrequencies(poisoned_counts, n + m);
 
   std::vector<double> truth(d, 1.0 / d);

@@ -9,6 +9,7 @@
 #include "ldp/grr.h"
 #include "ldp/olh.h"
 #include "ldp/oue.h"
+#include "test_reports.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -87,7 +88,7 @@ TEST(MgaTest, OlhReportsSupportManyTargets) {
   const size_t m = 50;
   for (const Report& r : attack.Craft(olh, m, rng)) {
     size_t supported = 0;
-    for (ItemId t : targets) supported += olh.Supports(r, t) ? 1 : 0;
+    for (ItemId t : targets) supported += Supports(olh, r, t) ? 1 : 0;
     EXPECT_GE(supported, 1u);
     total_supported += static_cast<double>(supported);
   }
@@ -110,8 +111,7 @@ TEST(MgaTest, InflatesTargetFrequencies) {
 
   auto counts = oue.SampleSupportCounts(item_counts, rng);
   const auto genuine = oue.EstimateFrequencies(counts, n);
-  for (const Report& r : attack.Craft(oue, m, rng))
-    oue.AccumulateSupports(r, counts);
+  oue.AccumulateSupportsBatch(attack.Craft(oue, m, rng), counts);
   const auto poisoned = oue.EstimateFrequencies(counts, n + m);
 
   const double fg = FrequencyGain(genuine, poisoned, targets);

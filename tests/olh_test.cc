@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_reports.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -44,35 +45,33 @@ TEST(OlhTest, ReportBucketInRange) {
 TEST(OlhTest, SupportsOwnItemWithP) {
   const Olh olh(50, 0.5);
   Rng rng(2);
-  int hits = 0;
   const int kTrials = 40000;
-  for (int i = 0; i < kTrials; ++i)
-    hits += olh.Supports(olh.Perturb(9, rng), 9) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, olh.p(), 0.01);
+  const auto counts = GenuineSupportCounts(olh, 9, kTrials, rng);
+  EXPECT_NEAR(counts[9] / kTrials, olh.p(), 0.01);
 }
 
 TEST(OlhTest, SupportsOtherItemWithQ) {
   const Olh olh(50, 0.5);
   Rng rng(3);
-  int hits = 0;
   const int kTrials = 40000;
-  for (int i = 0; i < kTrials; ++i)
-    hits += olh.Supports(olh.Perturb(9, rng), 31) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, olh.q(), 0.01);
+  const auto counts = GenuineSupportCounts(olh, 9, kTrials, rng);
+  EXPECT_NEAR(counts[31] / kTrials, olh.q(), 0.01);
 }
 
-TEST(OlhTest, AccumulateSupportsMatchesSupports) {
+TEST(OlhTest, AccumulateSupportsBatchMatchesHashPredicate) {
+  // A report (seed, b) supports exactly the items v with
+  // H_seed(v) == b.
   const Olh olh(30, 0.5);
   Rng rng(4);
   const Report r = olh.Perturb(5, rng);
-  std::vector<double> counts(30, 0.0);
-  olh.AccumulateSupports(r, counts);
+  const std::vector<double> counts = SupportVector(olh, r);
   for (ItemId v = 0; v < 30; ++v)
-    EXPECT_DOUBLE_EQ(counts[v], olh.Supports(r, v) ? 1.0 : 0.0);
+    EXPECT_DOUBLE_EQ(counts[v], olh.Hash(r.seed, v) == r.value ? 1.0 : 0.0);
 }
 
 TEST(OlhTest, EstimationIsUnbiasedExactPath) {
-  // Exact per-user simulation through Perturb/AccumulateSupports.
+  // Exact per-user simulation through the batched generation and
+  // support-counting path.
   const size_t d = 12;
   const Olh olh(d, 1.0);
   Rng rng(5);
@@ -80,11 +79,7 @@ TEST(OlhTest, EstimationIsUnbiasedExactPath) {
   std::vector<uint64_t> item_counts(d, 0);
   item_counts[2] = n / 3;
   item_counts[8] = 2 * n / 3;
-  std::vector<double> counts(d, 0.0);
-  for (ItemId item = 0; item < d; ++item) {
-    for (uint64_t u = 0; u < item_counts[item]; ++u)
-      olh.AccumulateSupports(olh.Perturb(item, rng), counts);
-  }
+  const std::vector<double> counts = olh.ExactSupportCounts(item_counts, rng);
   const auto freqs = olh.EstimateFrequencies(counts, n);
   EXPECT_NEAR(freqs[2], 1.0 / 3.0, 0.03);
   EXPECT_NEAR(freqs[8], 2.0 / 3.0, 0.03);
@@ -103,13 +98,13 @@ TEST(OlhTest, EstimationIsUnbiasedFastPath) {
   EXPECT_NEAR(freqs[8], 2.0 / 3.0, 0.02);
 }
 
-TEST(OlhTest, CraftSupportingReportAlwaysSupportsItem) {
+TEST(OlhTest, CraftedReportAlwaysSupportsItem) {
   const Olh olh(64, 0.5);
   Rng rng(7);
   for (int i = 0; i < 200; ++i) {
     const ItemId v = static_cast<ItemId>(rng.UniformU64(64));
-    const Report r = olh.CraftSupportingReport(v, rng);
-    EXPECT_TRUE(olh.Supports(r, v));
+    const Report r = CraftedReport(olh, v, rng);
+    EXPECT_TRUE(Supports(olh, r, v));
   }
 }
 
@@ -118,13 +113,14 @@ TEST(OlhTest, CraftedReportSupportsOthersAtRateQ) {
   // items: it supports them at rate ~1/g.
   const Olh olh(64, 0.5);
   Rng rng(8);
-  int hits = 0;
   const int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i) {
-    const Report r = olh.CraftSupportingReport(3, rng);
-    hits += olh.Supports(r, 40) ? 1 : 0;
-  }
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, olh.q(), 0.015);
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  for (int i = 0; i < kTrials; ++i) olh.AppendCraftedReport(3, rng, builder);
+  std::vector<double> counts(64, 0.0);
+  olh.AccumulateSupportsBatch(batch, counts);
+  EXPECT_DOUBLE_EQ(counts[3], kTrials);
+  EXPECT_NEAR(counts[40] / kTrials, olh.q(), 0.015);
 }
 
 TEST(OlhTest, HashIsDeterministicPerSeed) {

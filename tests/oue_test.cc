@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_reports.h"
 #include "util/metrics.h"
 
 namespace ldpr {
@@ -44,9 +45,7 @@ TEST(OueTest, SupportsReadsBits) {
   const Oue oue(4, 1.0);
   Report r;
   r.bits = {1, 0, 1, 0};
-  EXPECT_TRUE(oue.Supports(r, 0));
-  EXPECT_FALSE(oue.Supports(r, 1));
-  EXPECT_TRUE(oue.Supports(r, 2));
+  EXPECT_EQ(SupportVector(oue, r), (std::vector<double>{1, 0, 1, 0}));
 }
 
 TEST(OueTest, EstimationIsUnbiased) {
@@ -103,17 +102,17 @@ TEST(OueTest, ExpectedOnesFormula) {
   EXPECT_NEAR(total_ones / kTrials, oue.ExpectedOnes(), 0.5);
 }
 
-TEST(OueTest, CraftSupportingReportIsOneHot) {
+TEST(OueTest, CraftedReportIsOneHot) {
   const Oue oue(9, 0.5);
   Rng rng(7);
-  const Report r = oue.CraftSupportingReport(5, rng);
-  for (ItemId v = 0; v < 9; ++v) EXPECT_EQ(oue.Supports(r, v), v == 5);
+  const Report r = CraftedReport(oue, 5, rng);
+  for (ItemId v = 0; v < 9; ++v) EXPECT_EQ(Supports(oue, r, v), v == 5);
 }
 
-TEST(OueDeathTest, SupportsChecksVectorLength) {
+TEST(OueDeathTest, SupportCountingChecksVectorLength) {
   const Oue oue(4, 1.0);
   Report r;  // bits empty
-  EXPECT_DEATH((void)oue.Supports(r, 0), "LDPR_CHECK");
+  EXPECT_DEATH((void)SupportVector(oue, r), "LDPR_CHECK");
 }
 
 }  // namespace

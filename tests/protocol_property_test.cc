@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "ldp/factory.h"
+#include "test_reports.h"
 #include "util/math_util.h"
 #include "util/metrics.h"
 
@@ -52,22 +53,20 @@ TEST_P(ProtocolPropertyTest, ProbabilityOrderingAndLdpConstraint) {
 TEST_P(ProtocolPropertyTest, PerturbSupportsOwnItemAtRateP) {
   Rng rng(101);
   const ItemId item = static_cast<ItemId>(GetParam().d / 2);
-  int hits = 0;
   const int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i)
-    hits += protocol_->Supports(protocol_->Perturb(item, rng), item) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, protocol_->p(), 0.015);
+  const std::vector<double> counts =
+      GenuineSupportCounts(*protocol_, item, kTrials, rng);
+  EXPECT_NEAR(counts[item] / kTrials, protocol_->p(), 0.015);
 }
 
 TEST_P(ProtocolPropertyTest, PerturbSupportsOtherItemAtRateQ) {
   Rng rng(102);
   const ItemId item = 0;
   const ItemId other = static_cast<ItemId>(GetParam().d - 1);
-  int hits = 0;
   const int kTrials = 20000;
-  for (int i = 0; i < kTrials; ++i)
-    hits += protocol_->Supports(protocol_->Perturb(item, rng), other) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / kTrials, protocol_->q(), 0.015);
+  const std::vector<double> counts =
+      GenuineSupportCounts(*protocol_, item, kTrials, rng);
+  EXPECT_NEAR(counts[other] / kTrials, protocol_->q(), 0.015);
 }
 
 TEST_P(ProtocolPropertyTest, EstimatedFrequenciesSumNearOne) {
@@ -110,8 +109,8 @@ TEST_P(ProtocolPropertyTest, EstimatorIsUnbiasedOnSkewedData) {
 TEST_P(ProtocolPropertyTest, CraftedReportDeterministicallySupportsTarget) {
   Rng rng(105);
   for (ItemId v = 0; v < GetParam().d; v += 7) {
-    const Report r = protocol_->CraftSupportingReport(v, rng);
-    EXPECT_TRUE(protocol_->Supports(r, v));
+    const Report r = CraftedReport(*protocol_, v, rng);
+    EXPECT_TRUE(Supports(*protocol_, r, v));
   }
 }
 

@@ -15,6 +15,7 @@
 #include "recover/detection.h"
 #include "recover/ldprecover.h"
 #include "sim/pipeline.h"
+#include "test_reports.h"
 #include "util/math_util.h"
 #include "util/metrics.h"
 
@@ -109,9 +110,9 @@ TEST(ExtensionAttackTest, MgaCraftsForSue) {
   const MgaAttack attack({3, 9, 21});
   Rng rng(4);
   for (const Report& r : attack.Craft(sue, 20, rng)) {
-    EXPECT_TRUE(sue.Supports(r, 3));
-    EXPECT_TRUE(sue.Supports(r, 9));
-    EXPECT_TRUE(sue.Supports(r, 21));
+    EXPECT_TRUE(Supports(sue, r, 3));
+    EXPECT_TRUE(Supports(sue, r, 9));
+    EXPECT_TRUE(Supports(sue, r, 21));
   }
 }
 
@@ -122,7 +123,7 @@ TEST(ExtensionAttackTest, MgaCraftsForBlh) {
   const MgaAttack attack(targets);
   for (const Report& r : attack.Craft(blh, 20, rng)) {
     size_t supported = 0;
-    for (ItemId t : targets) supported += blh.Supports(r, t) ? 1 : 0;
+    for (ItemId t : targets) supported += Supports(blh, r, t) ? 1 : 0;
     // With g = 2 the best bucket holds at least half the targets.
     EXPECT_GE(supported, 3u);
   }
