@@ -72,7 +72,7 @@ bool StartsWith(const std::string& s, const char* prefix) {
 
 void CheckNondeterminismSources(const SourceFile& file,
                                 std::vector<Finding>* out) {
-  // The timing-column whitelist: sim/experiment.cc times RunSingleTrial
+  // The timing-column whitelist: sim/experiment.cc times each trial
   // for the declared secs-per-trial columns, and bench drivers time by
   // definition.  util/random is the one home of raw std engines.
   const bool clock_whitelisted = file.path == "src/sim/experiment.cc" ||

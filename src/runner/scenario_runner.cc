@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "data/synthetic.h"
+#include "sim/experiment.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 
@@ -95,38 +96,17 @@ std::string BenchDatasetDisplayName(const std::string& name) {
   return gen != nullptr ? gen->display : name;
 }
 
-std::vector<ExperimentResult> RunExperimentGrid(
-    const std::vector<ExperimentConfig>& configs, const Dataset& dataset,
-    ThreadBudget* budget_out) {
-  // Split the pool between the configuration fan-out and each
-  // experiment's own trial fan-out (the shared SplitThreadBudget
-  // policy); the remainder of the division goes to the first configs
-  // so no worker sits idle (results don't depend on thread counts,
-  // so this stays deterministic).
-  const size_t threads = DefaultThreadCount();
-  const ThreadBudget budget = SplitThreadBudget(threads, configs.size());
-  if (budget_out != nullptr) *budget_out = budget;
-  const size_t used = budget.inner * budget.outer;
-  const size_t remainder = threads > used ? threads - used : 0;
-
-  std::vector<ExperimentResult> results(configs.size());
-  ParallelFor(budget.outer, configs.size(), [&](size_t i) {
-    ExperimentConfig config = configs[i];
-    config.threads = budget.inner + (i < remainder ? 1 : 0);
-    results[i] = RunExperiment(config, dataset);
-  });
-  return results;
-}
-
 namespace {
 
 // Runs a lowered grid scenario.  Per dataset, rows group by their
 // dataset *variant* — the row-level n/d overrides of the scaling-law
 // axes; rows without overrides share the pre-resolved dataset — and
-// each variant's configs batch into one RunExperimentGrid call (so
-// the pool still sees whole grids at once, as the old sweep benches
-// did).  Results scatter back to their (table, row) slots and emit in
-// lowering order, so the sink output is independent of the grouping.
+// each variant's configs batch into one RunExperiments call, a flat
+// fan-out over every (config, trial) pair of the variant.  Variants
+// run one after another, so the scaling scenarios' per-trial timing
+// columns never share the machine with another variant.  Results
+// scatter back to their (table, row) slots and emit in lowering
+// order, so the sink output is independent of the grouping.
 Status RunGridScenario(const Scenario& scenario, const LoweredScenario& lowered,
                        const std::vector<Dataset>& datasets,
                        ScenarioContext& ctx) {
@@ -136,9 +116,6 @@ Status RunGridScenario(const Scenario& scenario, const LoweredScenario& lowered,
   for (size_t t = 0; t < lowered.tables.size(); ++t)
     results[t].resize(lowered.tables[t].rows.size());
 
-  // The manifest records one representative thread split; the largest
-  // batch's split is the one that dominated the run.
-  size_t largest_batch = 0;
   for (size_t ds = 0; ds < datasets.size(); ++ds) {
     struct RowRef {
       size_t table;
@@ -189,11 +166,11 @@ Status RunGridScenario(const Scenario& scenario, const LoweredScenario& lowered,
         dataset = &resized;
       }
 
+      // The manifest records the widest split any variant applied.
       ThreadBudget budget;
       const std::vector<ExperimentResult> batch_results =
-          RunExperimentGrid(batch, *dataset, &budget);
-      if (batch.size() >= largest_batch) {
-        largest_batch = batch.size();
+          RunExperiments(batch, *dataset, ctx.threads, &budget);
+      if (budget.outer >= ctx.report.outer_workers) {
         ctx.report.outer_workers = budget.outer;
         ctx.report.shards = budget.inner;
       }

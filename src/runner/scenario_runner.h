@@ -1,7 +1,8 @@
 // The scenario run engine: resolves run knobs (seed/scale/trials from
 // options, environment, or spec defaults), lowers grid scenarios to
-// their ExperimentConfig grids, fans the grid across the thread
-// budget, and streams every row through the ResultSink.  Custom
+// their ExperimentConfig grids, runs each dataset variant's grid as
+// one flat (config x trial) fan-out (RunExperiments in
+// sim/experiment.h), and streams every row through the ResultSink.  Custom
 // scenarios get a ScenarioContext and the RunTrialGrid helper
 // instead (the streaming_* scenarios run one RunStream per trial
 // inside RunTrialGrid — serial per trial, parallel across cells).
@@ -65,17 +66,6 @@ std::string BenchDatasetDisplayName(const std::string& name);
 StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
                                         const ScenarioRunOptions& options,
                                         ResultSink& sink);
-
-/// Runs every config against `dataset`, fanning the (config, trial)
-/// grid across the LDPR_THREADS worker pool: configurations run
-/// concurrently on the outer pool and each experiment's trials split
-/// whatever threads remain.  Results are returned in input order and
-/// are bit-identical to running each config serially.  When
-/// `budget_out` is set, the applied split is recorded there (the
-/// manifest's outer_workers/shards).
-std::vector<ExperimentResult> RunExperimentGrid(
-    const std::vector<ExperimentConfig>& configs, const Dataset& dataset,
-    ThreadBudget* budget_out = nullptr);
 
 /// Runs the (cell x trial) grid of a custom scenario across the
 /// LDPR_THREADS budget: flat index i = cell * trials + trial runs

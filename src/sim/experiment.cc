@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <vector>
 
 #include "ldp/factory.h"
@@ -187,43 +188,81 @@ void MergeTrialMetrics(const TrialMetrics& trial, ExperimentResult& result) {
   add(trial.mse_malicious_recover_star, result.mse_malicious_recover_star);
 }
 
-ExperimentResult RunExperiment(const ExperimentConfig& config,
-                               const Dataset& dataset) {
-  LDPR_CHECK(config.trials >= 1);
-  const std::unique_ptr<FrequencyProtocol> protocol =
-      MakeProtocol(config.protocol, dataset.domain_size(), config.epsilon);
+std::vector<ExperimentResult> RunExperiments(
+    const std::vector<ExperimentConfig>& configs, const Dataset& dataset,
+    size_t threads, ThreadBudget* budget_out) {
+  // One unit per (config, trial), dispatched trial-major: trial 0 of
+  // every config, then trial 1, and so on.  Workers claim units in
+  // this order, so the trials in flight at any moment come from
+  // different configs rather than piling one config's trials (and
+  // their materialized malicious reports) up at once.
+  struct Unit {
+    size_t config;
+    size_t trial;
+  };
+  size_t max_trials = 0;
+  for (const ExperimentConfig& config : configs) {
+    LDPR_CHECK(config.trials >= 1);
+    max_trials = std::max(max_trials, config.trials);
+  }
+  std::vector<Unit> units;
+  for (size_t trial = 0; trial < max_trials; ++trial) {
+    for (size_t i = 0; i < configs.size(); ++i) {
+      if (trial < configs[i].trials) units.push_back({i, trial});
+    }
+  }
 
-  // Split the thread budget between the two parallelism levels so
-  // they never oversubscribe: with many trials the fan-out takes the
-  // whole budget and each trial aggregates serially; with few (down
-  // to one) trials the leftover goes to within-trial aggregation
-  // shards.
-  const ThreadBudget budget = SplitThreadBudget(config.threads, config.trials);
-  ExperimentConfig budgeted = config;
-  budgeted.pipeline.shards = budget.inner;
+  // One split of the budget over the flat fan-out: with many units
+  // every worker runs whole trials and aggregates serially; with
+  // fewer units than threads the leftover goes to within-trial
+  // aggregation shards.
+  const ThreadBudget budget = SplitThreadBudget(threads, units.size());
+  if (budget_out != nullptr) *budget_out = budget;
 
-  // Every trial runs on its own counter-derived RNG stream, writes
-  // its own slot, and the slots merge in trial order below — so the
-  // result is bit-identical no matter how trials land on workers.
-  // Timing rides along in its own slot vector: wall clocks are
-  // machine-dependent, but merging them in trial order keeps the
-  // deterministic metrics untouched.
-  std::vector<TrialMetrics> trials(config.trials);
-  std::vector<double> seconds(config.trials);
-  ParallelFor(budget.outer, config.trials, [&](size_t trial) {
+  // Each config builds one protocol, shared read-only by its trials.
+  std::vector<ExperimentConfig> budgeted = configs;
+  std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
+  for (ExperimentConfig& config : budgeted) {
+    config.pipeline.shards = budget.inner;
+    protocols.push_back(
+        MakeProtocol(config.protocol, dataset.domain_size(), config.epsilon));
+  }
+
+  // Every unit runs on its config's counter-derived RNG stream for
+  // that trial and writes its own slot, so the result is
+  // bit-identical no matter how units land on workers.  Timing rides
+  // along in its own slot vector: wall clocks are machine-dependent,
+  // but merging them in trial order keeps the deterministic metrics
+  // untouched.
+  std::vector<TrialMetrics> metrics(units.size());
+  std::vector<double> seconds(units.size());
+  ParallelFor(budget.outer, units.size(), [&](size_t u) {
+    const Unit& unit = units[u];
     const auto start = std::chrono::steady_clock::now();
-    trials[trial] = RunTrialWithProtocol(*protocol, budgeted, dataset,
-                                         DeriveSeed(config.seed, trial));
-    seconds[trial] =
+    metrics[u] = RunTrialWithProtocol(
+        *protocols[unit.config], budgeted[unit.config], dataset,
+        DeriveSeed(configs[unit.config].seed, unit.trial));
+    seconds[u] =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
   });
 
-  ExperimentResult result;
-  for (const TrialMetrics& trial : trials) MergeTrialMetrics(trial, result);
-  for (double s : seconds) result.trial_seconds.Add(s);
-  result.users_per_trial = dataset.num_users();
-  return result;
+  // Units are trial-major, so walking them in order visits each
+  // config's trials in trial order.
+  std::vector<ExperimentResult> results(configs.size());
+  for (size_t u = 0; u < units.size(); ++u) {
+    ExperimentResult& result = results[units[u].config];
+    MergeTrialMetrics(metrics[u], result);
+    result.trial_seconds.Add(seconds[u]);
+  }
+  for (ExperimentResult& result : results)
+    result.users_per_trial = dataset.num_users();
+  return results;
+}
+
+ExperimentResult RunExperiment(const ExperimentConfig& config,
+                               const Dataset& dataset) {
+  return RunExperiments({config}, dataset, config.threads).front();
 }
 
 }  // namespace ldpr

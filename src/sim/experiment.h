@@ -13,17 +13,19 @@
 // MSE is measured against the exact genuine frequencies f_X; FG is
 // measured against the genuine LDP estimate f~_X per Eq. (37).
 //
-// Threading contract (docs/architecture.md): RunExperiment owns one
-// thread budget (config.threads, 0 = auto) and splits it between two
-// levels of parallelism — the trial fan-out and each trial's
-// within-trial aggregation shards — so the two levels never
-// oversubscribe the machine: trial_workers = min(threads, trials),
-// shards = threads / trial_workers.  Many trials => trials fan out
-// and aggregation runs serially inside each; a single huge trial =>
-// the whole budget goes to its aggregation shards.  Results are
-// byte-identical under every split because per-trial and per-shard
-// RNG streams are counter-derived and every merge happens in index
-// order.
+// Threading contract (docs/architecture.md): RunExperiments runs a
+// whole grid of configs as one flat, dynamically scheduled fan-out
+// over every (config, trial) pair, dispatched trial-major (trial 0 of
+// every config, then trial 1, ...).  It owns one thread budget and
+// splits it between that fan-out and each trial's within-trial
+// aggregation shards, so the two levels never oversubscribe the
+// machine: workers = min(threads, units), shards = threads / workers.
+// Many units => every worker runs whole trials and aggregates
+// serially; a single huge trial => the whole budget goes to its
+// aggregation shards.  RunExperiment is the one-config case.  Results
+// are byte-identical under every split because per-trial and
+// per-shard RNG streams are counter-derived and every merge happens
+// in index order.
 
 #ifndef LDPR_SIM_EXPERIMENT_H_
 #define LDPR_SIM_EXPERIMENT_H_
@@ -31,11 +33,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "data/dataset.h"
 #include "sim/pipeline.h"
 #include "util/metrics.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace ldpr {
 
@@ -55,14 +59,15 @@ struct ExperimentConfig {
   /// Reproduce the paper's literal Eq. (28); see
   /// recover/malicious_stats.h.
   bool paper_literal_subdomain_sum = false;
-  /// Worker-thread budget shared by the trial fan-out and the
-  /// within-trial aggregation shards: 0 = auto (LDPR_THREADS or
-  /// hardware concurrency), 1 = fully serial.  RunExperiment splits
-  /// the budget (see the file header); pipeline.shards is overridden
-  /// with the within-trial share.  Results are bit-identical at
-  /// every thread count: each trial runs on its own counter-derived
-  /// RNG stream, sharded aggregation chunks likewise, and all merges
-  /// happen in index order.
+  /// RunExperiment's worker-thread budget, shared by the trial
+  /// fan-out and the within-trial aggregation shards: 0 = auto
+  /// (LDPR_THREADS or hardware concurrency), 1 = fully serial.  The
+  /// budget is split as the file header describes; pipeline.shards
+  /// is overridden with the within-trial share.  RunExperiments takes
+  /// one budget for the whole grid and ignores this field.  Results
+  /// are bit-identical at every thread count: each trial runs on its
+  /// own counter-derived RNG stream, sharded aggregation chunks
+  /// likewise, and all merges happen in index order.
   size_t threads = 0;
 };
 
@@ -97,10 +102,12 @@ struct ExperimentResult {
   /// f~*_Y against the trial's actual f~_Y.
   RunningStat mse_malicious_recover;
   RunningStat mse_malicious_recover_star;
-  /// Wall-clock seconds per trial, measured around RunSingleTrial by
-  /// RunExperiment.  Machine-dependent by nature — scenarios may only
-  /// surface it through columns listed in ScenarioSpec.timing_columns,
-  /// which result comparisons (ldpr_diff) exclude from exact checks.
+  /// Wall-clock seconds per trial, measured by RunExperiments around
+  /// the trial body, which runs on the config's shared protocol (so
+  /// protocol construction is not included).  Machine-dependent by
+  /// nature — scenarios may only surface it through columns listed
+  /// in ScenarioSpec.timing_columns, which result comparisons
+  /// (ldpr_diff) exclude from exact checks.
   RunningStat trial_seconds;
   /// Genuine users each trial aggregated (the dataset's n), so
   /// scaling scenarios can derive throughput as
@@ -123,17 +130,29 @@ Status ValidateExperimentInputs(const ExperimentConfig& config,
 /// fresh Rng(trial_seed).  Pure in (config, dataset, trial_seed):
 /// same inputs, same metrics, regardless of what else is running.
 /// `config.trials` and `config.threads` are ignored here; the trial
-/// fan-out lives in RunExperiment.
+/// fan-out lives in RunExperiments.
 TrialMetrics RunSingleTrial(const ExperimentConfig& config,
                             const Dataset& dataset, uint64_t trial_seed);
 
 /// Folds one trial's metrics into the running averages.
 void MergeTrialMetrics(const TrialMetrics& trial, ExperimentResult& result);
 
+/// Runs every config's trials against `dataset` as one flat fan-out
+/// of (config, trial) units across `threads` workers (0 = auto; the
+/// configs' own `threads` fields are ignored), dispatched trial-major
+/// (see the file header).  Each config builds one protocol, shared
+/// read-only by its trials.  Deterministic in each config's seed
+/// alone: trial t of config i runs on Rng(DeriveSeed(configs[i].seed,
+/// t)) and merges into results[i] in trial order, so the output is
+/// bit-identical to running each config alone, at any thread count.
+/// When `budget_out` is set, the applied split is recorded there
+/// (outer = concurrent units, inner = shards per trial).
+std::vector<ExperimentResult> RunExperiments(
+    const std::vector<ExperimentConfig>& configs, const Dataset& dataset,
+    size_t threads, ThreadBudget* budget_out = nullptr);
+
 /// Runs config.trials trials across config.threads workers (0 =
-/// auto).  Deterministic in config.seed alone: trial t runs on
-/// Rng(DeriveSeed(config.seed, t)) and results merge in trial order,
-/// so the output is bit-identical at any thread count.
+/// auto): RunExperiments on the one-config grid.
 ExperimentResult RunExperiment(const ExperimentConfig& config,
                                const Dataset& dataset);
 

@@ -57,8 +57,9 @@ struct PipelineConfig {
   /// byte-identical at every value — the population splits into
   /// fixed-size chunks whose RNG streams are derived from the trial
   /// seed, and partial counts merge in chunk order — so this knob
-  /// only decides how many cores one trial may use.  RunExperiment
-  /// budgets it against the trial-level fan-out (see experiment.h).
+  /// only decides how many cores one trial may use.  RunExperiments
+  /// budgets it against the (config, trial) fan-out (see
+  /// experiment.h).
   size_t shards = 1;
 };
 

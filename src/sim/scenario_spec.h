@@ -171,7 +171,7 @@ Status ValidateScenarioSpec(const ScenarioSpec& spec);
 
 /// Lowers a declarative spec into the concrete experiment grid.
 /// `trials` and `seed` land verbatim in every ExperimentConfig
-/// (per-trial seeds are derived downstream by RunExperiment).
+/// (per-trial seeds are derived downstream by RunExperiments).
 /// Rejects specs with `custom` set — those own their run loop.
 StatusOr<LoweredScenario> LowerScenario(const ScenarioSpec& spec,
                                         size_t trials, uint64_t seed);

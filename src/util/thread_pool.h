@@ -27,7 +27,7 @@
 //    aggregation inside a trial-level fan-out — never re-enter the
 //    caller's pool (that would deadlock: the task would Wait() on a
 //    queue it occupies); they run on a small transient pool instead,
-//    budgeted by the caller (see RunExperiment's split of the thread
+//    budgeted by the caller (see RunExperiments' split of the thread
 //    budget between trials and shards).
 //
 // Thread count resolution: an explicit count wins; 0 means "auto",
@@ -111,10 +111,11 @@ bool InThreadPoolWorker();
 /// Two-level split of one worker-thread budget: `outer` workers fan
 /// an n-item grid out and every item gets `inner` workers for its
 /// own nested parallelism, with outer * inner <= the budget — the
-/// policy RunExperiment applies to (trials x aggregation shards) and
-/// the bench grids apply to (cells x shards).  `num_threads` 0 means
-/// auto (DefaultThreadCount()).  Splitting never affects results,
-/// only which level the cores serve.
+/// policy RunExperiments applies to ((config, trial) units x
+/// aggregation shards) and the bench grids apply to ((cell, trial)
+/// units x shards).  `num_threads` 0 means auto
+/// (DefaultThreadCount()).  Splitting never affects results, only
+/// which level the cores serve.
 struct ThreadBudget {
   size_t outer;
   size_t inner;

@@ -2,12 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "data/synthetic.h"
 
 namespace ldpr {
 namespace {
 
 Dataset SmallDataset() { return MakeZipfDataset("z", 30, 30000, 1.0, 11); }
+
+// Every deterministic statistic of `b` equals `a` bit for bit.
+void ExpectBitEqual(const ExperimentResult& a, const ExperimentResult& b,
+                    const std::string& where) {
+  const auto same = [&where](const RunningStat& x, const RunningStat& y) {
+    EXPECT_EQ(x.count(), y.count()) << where;
+    EXPECT_EQ(x.mean(), y.mean()) << where;
+    EXPECT_EQ(x.variance(), y.variance()) << where;
+  };
+  same(a.mse_before, b.mse_before);
+  same(a.mse_recover, b.mse_recover);
+  same(a.mse_recover_star, b.mse_recover_star);
+  same(a.mse_detection, b.mse_detection);
+  same(a.fg_before, b.fg_before);
+  same(a.fg_recover, b.fg_recover);
+  same(a.fg_recover_star, b.fg_recover_star);
+  same(a.fg_detection, b.fg_detection);
+  same(a.mse_malicious_recover, b.mse_malicious_recover);
+  same(a.mse_malicious_recover_star, b.mse_malicious_recover_star);
+  EXPECT_EQ(a.users_per_trial, b.users_per_trial) << where;
+}
 
 TEST(ExperimentTest, DeterministicInSeed) {
   ExperimentConfig config;
@@ -37,28 +61,50 @@ TEST(ExperimentTest, BitIdenticalAcrossThreadCounts) {
   const ExperimentResult serial = RunExperiment(config, ds);
   for (size_t threads : {2u, 8u}) {
     config.threads = threads;
-    const ExperimentResult parallel = RunExperiment(config, ds);
-    const auto expect_same = [threads](const RunningStat& a,
-                                       const RunningStat& b) {
-      EXPECT_EQ(a.count(), b.count()) << "threads=" << threads;
-      EXPECT_EQ(a.mean(), b.mean()) << "threads=" << threads;
-      EXPECT_EQ(a.variance(), b.variance()) << "threads=" << threads;
-    };
-    expect_same(serial.mse_before, parallel.mse_before);
-    expect_same(serial.mse_recover, parallel.mse_recover);
-    expect_same(serial.mse_recover_star, parallel.mse_recover_star);
-    expect_same(serial.mse_detection, parallel.mse_detection);
-    expect_same(serial.fg_before, parallel.fg_before);
-    expect_same(serial.fg_recover, parallel.fg_recover);
-    expect_same(serial.fg_recover_star, parallel.fg_recover_star);
-    expect_same(serial.fg_detection, parallel.fg_detection);
-    expect_same(serial.mse_malicious_recover, parallel.mse_malicious_recover);
-    expect_same(serial.mse_malicious_recover_star,
-                parallel.mse_malicious_recover_star);
+    ExpectBitEqual(serial, RunExperiment(config, ds),
+                   "threads=" + std::to_string(threads));
   }
 }
 
-// RunSingleTrial is the pure per-trial unit RunExperiment schedules:
+// The flat (config x trial) fan-out splits one config's trials across
+// workers and interleaves configs trial-major; each config's result
+// must still equal that config run alone and serially, bit for bit.
+// Configs with 1, 2 and 3 trials make the trial-major order skip
+// finished configs, and 3 workers split 6 units unevenly.
+TEST(ExperimentTest, FlatGridMatchesSerialPerConfig) {
+  const Dataset ds = SmallDataset();
+  std::vector<ExperimentConfig> configs;
+  const ProtocolKind protocols[] = {ProtocolKind::kGrr, ProtocolKind::kOue,
+                                    ProtocolKind::kOlh};
+  for (size_t i = 0; i < 3; ++i) {
+    ExperimentConfig config;
+    config.protocol = protocols[i];
+    config.pipeline.attack = AttackKind::kMga;
+    config.trials = i + 1;
+    config.seed = 500 + i;
+    configs.push_back(config);
+  }
+
+  std::vector<ExperimentResult> serial;
+  for (ExperimentConfig config : configs) {
+    config.threads = 1;
+    serial.push_back(RunExperiment(config, ds));
+  }
+  for (size_t threads : {1u, 3u, 4u}) {
+    const std::vector<ExperimentResult> flat =
+        RunExperiments(configs, ds, threads);
+    ASSERT_EQ(flat.size(), configs.size());
+    for (size_t i = 0; i < configs.size(); ++i) {
+      const std::string where =
+          "threads=" + std::to_string(threads) + " config=" + std::to_string(i);
+      ExpectBitEqual(serial[i], flat[i], where);
+      EXPECT_EQ(flat[i].mse_before.count(), configs[i].trials) << where;
+      EXPECT_EQ(flat[i].trial_seconds.count(), configs[i].trials) << where;
+    }
+  }
+}
+
+// RunSingleTrial is the pure per-trial unit RunExperiments schedules:
 // trial t of seed s must reproduce exactly from DeriveSeed(s, t).
 TEST(ExperimentTest, SingleTrialMatchesExperimentStream) {
   ExperimentConfig config;
