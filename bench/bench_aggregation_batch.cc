@@ -143,9 +143,9 @@ int Run(int argc, char** argv) {
     ReportBatch::Builder builder(batch);
     mga.CraftBatch(*proto, n, rng, builder);
 
-    std::vector<double> counts(proto->domain_size(), 0.0);
+    std::vector<uint64_t> counts(proto->domain_size(), 0);
     const RateStats batched = MeasureRates(*reps, n, [&] {
-      std::fill(counts.begin(), counts.end(), 0.0);
+      std::fill(counts.begin(), counts.end(), 0);
       proto->AccumulateSupportsBatch(batch, counts);
     });
     std::printf("%-4s reports=%-8zu batched(SoA) min %11.0f med %11.0f\n",

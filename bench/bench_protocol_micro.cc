@@ -61,7 +61,7 @@ void BM_AccumulateSupportsBatch(benchmark::State& state) {
   ReportBatch::Builder builder(batch);
   for (ItemId item = 0; batch.size() < kBatchReports; item = (item + 1) % d)
     proto->AppendGenuineReports(item, 1, rng, builder);
-  std::vector<double> counts(d, 0.0);
+  std::vector<uint64_t> counts(d, 0);
   for (auto _ : state) {
     proto->AccumulateSupportsBatch(batch, counts);
     benchmark::DoNotOptimize(counts.data());

@@ -63,7 +63,8 @@ int main() {
   std::vector<std::vector<double>> history;
   for (int epoch = 0; epoch < 6; ++epoch) {
     const auto counts = oue.SampleSupportCounts(week.item_counts, rng);
-    history.push_back(oue.EstimateFrequencies(counts, week.num_users()));
+    history.push_back(
+        oue.EstimateFrequencies(CountsToDoubles(counts), week.num_users()));
   }
 
   // Week 7: the attacker promotes three tail emoji.
@@ -77,7 +78,7 @@ int main() {
   attack.CraftBatch(oue, m, rng, builder);
   oue.AccumulateSupportsBatch(crafted, counts);
   const auto poisoned =
-      oue.EstimateFrequencies(counts, week.num_users() + m);
+      oue.EstimateFrequencies(CountsToDoubles(counts), week.num_users() + m);
 
   // Outlier detection against the archived history recovers the
   // attacker's target set without any attack-specific knowledge.

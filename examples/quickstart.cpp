@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   // 1-2. Aggregate genuine reports, then append 2,500 crafted ones
   //      (5% malicious) that all promote item 7.
-  std::vector<double> counts =
+  std::vector<uint64_t> counts =
       grr.SampleSupportCounts(population.item_counts, rng);
   const MgaAttack attack({7});
   const size_t m = 2500;
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   // 3. The server's poisoned estimate.
   const size_t total_users = population.num_users() + m;
   const std::vector<double> poisoned =
-      grr.EstimateFrequencies(counts, total_users);
+      grr.EstimateFrequencies(CountsToDoubles(counts), total_users);
 
   // 4. Recover.  eta deliberately over-estimates the true malicious
   //    ratio (the paper's recommended practice).  The second instance

@@ -38,13 +38,13 @@ int main() {
 
   auto counts = olh.SampleSupportCounts(clients.item_counts, rng);
   const auto genuine =
-      olh.EstimateFrequencies(counts, clients.num_users());
+      olh.EstimateFrequencies(CountsToDoubles(counts), clients.num_users());
   ReportBatch crafted;
   ReportBatch::Builder builder(crafted);
   attack.CraftBatch(olh, m, rng, builder);
   olh.AccumulateSupportsBatch(crafted, counts);
-  const auto poisoned =
-      olh.EstimateFrequencies(counts, clients.num_users() + m);
+  const auto poisoned = olh.EstimateFrequencies(CountsToDoubles(counts),
+                                                clients.num_users() + m);
 
   std::printf("distortion (L1 to truth): genuine %.4f -> poisoned %.4f\n\n",
               L1Distance(truth, genuine), L1Distance(truth, poisoned));

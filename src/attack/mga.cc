@@ -68,15 +68,18 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
     case ProtocolKind::kOlh:
     case ProtocolKind::kBlh: {
       const auto& olh = static_cast<const OlhBase&>(protocol);
-      const uint32_t g = olh.g();
-      const FastMod mod(g);
+      const FastMod mod(olh.g());
       // The targets are fixed across all m reports and all seed
       // tries: precompute each target's item-only xxHash half once
       // (bit-identical hashing — util/hash_family.h).
       std::vector<uint64_t> round0(targets_.size());
       for (size_t j = 0; j < targets_.size(); ++j)
         round0[j] = XxHash64Round0(targets_[j]);
-      std::vector<uint32_t> bucket_hits(g);
+      // Per seed try, the report's bucket is the one holding the most
+      // targets, the smallest such bucket on ties.  Comparing the r
+      // target buckets pairwise finds it in O(r^2) time and O(r)
+      // space, whatever g is (g exceeds 10^8 at eps = 20).
+      std::vector<uint32_t> buckets(targets_.size());
       out.Reserve(m);
       for (size_t i = 0; i < m; ++i) {
         uint64_t best_seed = 0;
@@ -86,17 +89,24 @@ void MgaAttack::CraftBatch(const FrequencyProtocol& protocol, size_t m,
              ++attempt) {
           const uint64_t seed = rng.Next();
           const uint64_t seed_acc = XxHash64SeedAcc(seed);
-          std::fill(bucket_hits.begin(), bucket_hits.end(), 0u);
           for (size_t j = 0; j < targets_.size(); ++j) {
-            ++bucket_hits[mod(XxHash64Key8WithRound0(round0[j], seed_acc))];
+            buckets[j] = static_cast<uint32_t>(
+                mod(XxHash64Key8WithRound0(round0[j], seed_acc)));
           }
-          const auto it =
-              std::max_element(bucket_hits.begin(), bucket_hits.end());
-          const size_t hits = *it;
+          // Key = (hits, inverted bucket): its maximum is the most
+          // shared bucket, the smallest one on ties.
+          uint64_t best_key = 0;
+          for (const uint32_t bucket : buckets) {
+            uint32_t here = 0;
+            for (const uint32_t other : buckets) here += other == bucket;
+            best_key = std::max(best_key, (uint64_t{here} << 32) | ~bucket);
+          }
+          const size_t hits = static_cast<size_t>(best_key >> 32);
+          const uint32_t value = ~static_cast<uint32_t>(best_key);
           if (hits > best_hits) {
             best_hits = hits;
             best_seed = seed;
-            best_value = static_cast<uint32_t>(it - bucket_hits.begin());
+            best_value = value;
             if (best_hits == targets_.size()) break;  // cannot do better
           }
         }

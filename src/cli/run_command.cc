@@ -49,9 +49,6 @@ int RunCommand(const FlagParser& flags) {
   const auto top_k = flags.GetInt("top_k", 10);
   const auto threads = flags.GetInt("threads", 0);
   const std::string out_path = flags.GetString("out", "");
-  // The legacy shim forwards its mode selector even when it resolved
-  // to batch mode (--stream=false); tolerate it.
-  (void)flags.GetBool("stream", false);
 
   for (const Status& status :
        {protocol_or.ok() ? Status::Ok() : protocol_or.status(),

@@ -50,14 +50,6 @@ int StreamCommand(const FlagParser& flags) {
   const auto stride = flags.GetInt("stride", 0);
   const auto wave_or = ParseWaveShape(flags.GetString("wave", "constant"));
   const std::string out_path = flags.GetString("out", "");
-  // The legacy shim forwards its full flag set; tolerate its mode
-  // selector and the batch-only knobs the old binary accepted in
-  // stream mode.
-  (void)flags.GetBool("stream", false);
-  (void)flags.GetString("attack", "AA");  // the stream attacker is MGA
-  (void)flags.GetInt("trials", 5);
-  (void)flags.GetInt("top_k", 10);
-  (void)flags.GetInt("threads", 0);
 
   for (const Status& status :
        {protocol_or.ok() ? Status::Ok() : protocol_or.status(),
@@ -83,6 +75,11 @@ int StreamCommand(const FlagParser& flags) {
   if (!(*scale > 0.0 && *scale <= 1.0)) {
     std::fprintf(stderr,
                  "error: INVALID_ARGUMENT: --scale must be in (0, 1]\n");
+    return 1;
+  }
+  if (const Status valid = ValidateEpsilon(*protocol_or, *epsilon);
+      !valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
     return 1;
   }
   const Dataset dataset = ScaleDataset(*dataset_or, *scale);

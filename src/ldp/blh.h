@@ -4,8 +4,7 @@
 // single-bit reports; included as an extra pure protocol the paper's
 // recovery framework covers.
 //
-// Aggregation (streaming, closed-form, and the sharded
-// SampleSupportCountsRange/Sharded pair) is inherited wholesale from
+// Aggregation (batched and closed-form) is inherited wholesale from
 // OlhBase with q = 1/2.
 
 #ifndef LDPR_LDP_BLH_H_

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <limits>
 
 #include "ldp/blh.h"
 #include "ldp/grr.h"
@@ -26,6 +28,28 @@ std::unique_ptr<FrequencyProtocol> MakeProtocol(ProtocolKind kind, size_t d,
       return std::make_unique<Blh>(d, epsilon);
   }
   return nullptr;
+}
+
+Status ValidateEpsilon(ProtocolKind kind, double epsilon) {
+  // Negated so NaN fails too.
+  if (!(epsilon > 0.0 && std::isfinite(epsilon)))
+    return InvalidArgumentError("epsilon must be finite and > 0");
+  const double e = std::exp(epsilon);
+  if (!std::isfinite(e))
+    return InvalidArgumentError(
+        "epsilon too large: e^epsilon overflows a double (epsilon <= 709)");
+  if (kind == ProtocolKind::kOlh &&
+      std::ceil(e + 1.0) > std::numeric_limits<uint32_t>::max())
+    return InvalidArgumentError(
+        "epsilon too large for OLH: its hash range ceil(e^epsilon + 1) "
+        "must fit 32 bits (epsilon <= 22.18)");
+  if (kind == ProtocolKind::kSue) {
+    const double half = std::exp(epsilon / 2.0);
+    if (!(half / (half + 1.0) < 1.0))
+      return InvalidArgumentError(
+          "epsilon too large for SUE: its keep probability rounds to 1");
+  }
+  return Status::Ok();
 }
 
 StatusOr<ProtocolKind> ParseProtocolKind(const std::string& name) {

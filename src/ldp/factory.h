@@ -17,6 +17,14 @@ namespace ldpr {
 std::unique_ptr<FrequencyProtocol> MakeProtocol(ProtocolKind kind, size_t d,
                                                 double epsilon);
 
+/// The status-returning guard on `epsilon` for every entry point that
+/// takes it from a user (flags, the shard wire): MakeProtocol aborts
+/// or hangs on what this rejects.  Epsilon must be finite and > 0,
+/// with e^epsilon finite; OLH's hash range ceil(e^epsilon + 1) must
+/// fit uint32_t (epsilon <= ~22.18), and SUE's keep probability
+/// e^(epsilon/2) / (e^(epsilon/2) + 1) must stay below 1 in double.
+Status ValidateEpsilon(ProtocolKind kind, double epsilon);
+
 /// Parses "GRR" / "OUE" / "OLH" (case-insensitive).
 StatusOr<ProtocolKind> ParseProtocolKind(const std::string& name);
 

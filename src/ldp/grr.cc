@@ -38,27 +38,9 @@ void Grr::AppendCraftedReport(ItemId item, Rng& rng,
 }
 
 void Grr::AccumulateSupportsBatch(const ReportBatch& batch,
-                                  std::vector<double>& counts) const {
+                                  std::vector<uint64_t>& counts) const {
   LDPR_CHECK(counts.size() == d_);
-  const size_t n = batch.size();
-  if (n < d_ / 4) {
-    // Sparse batch: the O(d) histogram merge would dominate.
-    const uint32_t* values = batch.values();
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t v = values[i];
-      LDPR_CHECK(v < d_);
-      counts[v] += 1.0;
-    }
-    return;
-  }
-  // Dense batch: count occurrences in integers (the bank-interleaved
-  // histogram kernel), add each bucket once.  n consecutive +1.0's
-  // and one +n are the same exact double.
-  std::vector<uint64_t> hist(d_, 0);
-  SimdValueHistogramAdd(batch.values(), n, d_, hist.data());
-  for (size_t v = 0; v < d_; ++v) {
-    if (hist[v] != 0) counts[v] += static_cast<double>(hist[v]);
-  }
+  SimdValueHistogramAdd(batch.values(), batch.size(), d_, counts.data());
 }
 
 double Grr::CountVariance(double f, size_t n) const {
@@ -69,17 +51,17 @@ double Grr::CountVariance(double f, size_t n) const {
          nd * f * (dd - 2.0) / (e - 1.0);
 }
 
-std::vector<double> Grr::SampleSupportCounts(
+std::vector<uint64_t> Grr::SampleSupportCounts(
     const std::vector<uint64_t>& item_counts, Rng& rng) const {
   LDPR_CHECK(item_counts.size() == d_);
-  std::vector<double> counts(d_, 0.0);
+  std::vector<uint64_t> counts(d_, 0);
   // Reusable uniform weights over d-1 "other" bins.
   std::vector<double> uniform_other(d_ - 1, 1.0);
   for (ItemId item = 0; item < d_; ++item) {
     const uint64_t n_item = item_counts[item];
     if (n_item == 0) continue;
     const uint64_t kept = rng.Binomial(n_item, p_);
-    counts[item] += static_cast<double>(kept);
+    counts[item] += kept;
     const uint64_t misreports = n_item - kept;
     if (misreports == 0) continue;
     // Spread misreports uniformly over the other d-1 items.
@@ -87,7 +69,7 @@ std::vector<double> Grr::SampleSupportCounts(
         SampleMultinomial(misreports, uniform_other, rng);
     for (size_t j = 0; j < spread.size(); ++j) {
       const size_t target = (j < item) ? j : j + 1;
-      counts[target] += static_cast<double>(spread[j]);
+      counts[target] += spread[j];
     }
   }
   return counts;

@@ -34,12 +34,10 @@ class Grr final : public FrequencyProtocol {
   void AppendCraftedReport(ItemId item, Rng& rng,
                            ReportBatch::Builder& out) const override;
 
-  /// A report supports exactly the value it carries.  A report-heavy
-  /// batch folds through an integer value histogram (O(n + d),
-  /// bank-interleaved via util/simd.h); a sparse one adds values
-  /// directly.  Both orderings sum the same integers.
+  /// A report supports exactly the value it carries: the counts are
+  /// the batch's value histogram (util/simd.h).
   void AccumulateSupportsBatch(const ReportBatch& batch,
-                               std::vector<double>& counts) const override;
+                               std::vector<uint64_t>& counts) const override;
 
   /// Eq. (4): Var[Phi(v)] = n*(d-2+e^eps)/(e^eps-1)^2
   ///                        + n*f*(d-2)/(e^eps-1).
@@ -48,14 +46,9 @@ class Grr final : public FrequencyProtocol {
   /// Exact closed-form sampling: kept reports are Binomial(n_v, p);
   /// each misreport lands uniformly on one of the d-1 other items, so
   /// misreports from item v spread multinomially.  O(d^2) worst case,
-  /// O(#populated items * d) in practice.
-  ///
-  /// The sharded aggregation path uses the inherited
-  /// SampleSupportCountsRange (restrict histogram, then this sampler):
-  /// the binomial/multinomial split decomposes over user subsets, and
-  /// the n_item == 0 fast path below already skips every item absent
-  /// from a chunk, so no bespoke range override is needed.
-  std::vector<double> SampleSupportCounts(
+  /// O(#populated items * d) in practice; items absent from a shard
+  /// chunk's restricted histogram cost nothing.
+  std::vector<uint64_t> SampleSupportCounts(
       const std::vector<uint64_t>& item_counts, Rng& rng) const override;
 
  private:

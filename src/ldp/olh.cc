@@ -48,7 +48,7 @@ void OlhBase::AppendCraftedReport(ItemId item, Rng& rng,
 }
 
 void OlhBase::AccumulateSupportsBatch(const ReportBatch& batch,
-                                      std::vector<double>& counts) const {
+                                      std::vector<uint64_t>& counts) const {
   LDPR_CHECK(counts.size() == d_);
   SimdOlhSupportAdd(batch.seeds(), batch.values(), batch.size(), d_, g_,
                     counts.data());
@@ -60,36 +60,17 @@ double OlhBase::CountVariance(double f, size_t n) const {
   return static_cast<double>(n) * q_ * (1.0 - q_) / (diff * diff);
 }
 
-std::vector<double> OlhBase::SampleSupportCounts(
+std::vector<uint64_t> OlhBase::SampleSupportCounts(
     const std::vector<uint64_t>& item_counts, Rng& rng) const {
   LDPR_CHECK(item_counts.size() == d_);
   uint64_t n = 0;
   for (uint64_t c : item_counts) n += c;
-  std::vector<double> counts(d_);
+  std::vector<uint64_t> counts(d_);
   for (size_t v = 0; v < d_; ++v) {
     const uint64_t own = item_counts[v];
     const uint64_t from_own = rng.Binomial(own, p_);
     const uint64_t from_rest = rng.Binomial(n - own, q_);
-    counts[v] = static_cast<double>(from_own + from_rest);
-  }
-  return counts;
-}
-
-std::vector<double> OlhBase::SampleSupportCountsRange(
-    const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-    uint64_t user_end, Rng& rng) const {
-  LDPR_CHECK(item_counts.size() == d_);
-  LDPR_CHECK(user_begin <= user_end);
-  const uint64_t chunk_n = user_end - user_begin;
-  std::vector<double> counts(d_);
-  uint64_t offset = 0;
-  for (size_t v = 0; v < d_; ++v) {
-    const uint64_t own =
-        UsersOfItemInRange(offset, item_counts[v], user_begin, user_end);
-    offset += item_counts[v];
-    const uint64_t from_own = rng.Binomial(own, p_);
-    const uint64_t from_rest = rng.Binomial(chunk_n - own, q_);
-    counts[v] = static_cast<double>(from_own + from_rest);
+    counts[v] = from_own + from_rest;
   }
   return counts;
 }

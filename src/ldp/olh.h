@@ -59,7 +59,7 @@ class OlhBase : public FrequencyProtocol {
   /// split-hash tile kernel of util/simd.h), with the per-item
   /// support counted in an integer register.
   void AccumulateSupportsBatch(const ReportBatch& batch,
-                               std::vector<double>& counts) const override;
+                               std::vector<uint64_t>& counts) const override;
 
   /// Generic pure-protocol variance n * q(1-q)/(p-q)^2; with the
   /// optimal g this equals Eq. (10)'s 4 e^eps / (e^eps - 1)^2 up to
@@ -73,16 +73,8 @@ class OlhBase : public FrequencyProtocol {
   /// tests/sim_equivalence_test.cc.  The
   /// binomials decompose over user subsets, so the sharded path
   /// recomposes the exact same per-item law.
-  std::vector<double> SampleSupportCounts(
+  std::vector<uint64_t> SampleSupportCounts(
       const std::vector<uint64_t>& item_counts, Rng& rng) const override;
-
-  /// Shard building block: the two binomials above, restricted to the
-  /// canonical users [user_begin, user_end), without materializing
-  /// the restricted histogram.  Draws in the same order as
-  /// SampleSupportCounts on the restriction (bit-compatible).
-  std::vector<double> SampleSupportCountsRange(
-      const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-      uint64_t user_end, Rng& rng) const override;
 
   /// 1 + (d-1)/g: the crafted item plus uniform hash collisions.
   double CraftedSupportBudget() const override {

@@ -14,11 +14,16 @@ std::vector<uint64_t> RestrictItemCountsToUsers(
   std::vector<uint64_t> restricted(item_counts.size(), 0);
   uint64_t offset = 0;  // canonical index of the first user of item v
   for (size_t v = 0; v < item_counts.size() && offset < user_end; ++v) {
-    restricted[v] =
-        UsersOfItemInRange(offset, item_counts[v], user_begin, user_end);
+    const uint64_t lo = std::max(offset, user_begin);
+    const uint64_t hi = std::min(offset + item_counts[v], user_end);
+    restricted[v] = hi > lo ? hi - lo : 0;
     offset += item_counts[v];
   }
   return restricted;
+}
+
+std::vector<double> CountsToDoubles(const std::vector<uint64_t>& counts) {
+  return std::vector<double>(counts.begin(), counts.end());
 }
 
 const char* ProtocolKindName(ProtocolKind kind) {
@@ -89,14 +94,13 @@ void FrequencyProtocol::SampleReportsBatch(
   }
 }
 
-std::vector<double> FrequencyProtocol::ExactSupportCounts(
+std::vector<uint64_t> FrequencyProtocol::ExactSupportCounts(
     const std::vector<uint64_t>& item_counts, Rng& rng) const {
   LDPR_CHECK(item_counts.size() == d_);
-  std::vector<double> counts(d_, 0.0);
+  std::vector<uint64_t> counts(d_, 0);
   // Reports are generated straight into an SoA flush buffer (the
   // perturbation draws stay in per-user order) and accumulated
   // through the batched path every kBatchFlushReports reports.
-  // Integer support sums make the flush boundaries invisible.
   ReportBatch buffer;
   ReportBatch::Builder builder(buffer);
   for (ItemId item = 0; item < d_; ++item) {
@@ -116,12 +120,7 @@ std::vector<double> FrequencyProtocol::ExactSupportCounts(
   return counts;
 }
 
-std::vector<double> FrequencyProtocol::SampleSupportCounts(
-    const std::vector<uint64_t>& item_counts, Rng& rng) const {
-  return ExactSupportCounts(item_counts, rng);
-}
-
-std::vector<double> FrequencyProtocol::SampleSupportCountsRange(
+std::vector<uint64_t> FrequencyProtocol::SampleSupportCountsRange(
     const std::vector<uint64_t>& item_counts, uint64_t user_begin,
     uint64_t user_end, Rng& rng) const {
   LDPR_CHECK(item_counts.size() == d_);
@@ -129,14 +128,14 @@ std::vector<double> FrequencyProtocol::SampleSupportCountsRange(
       RestrictItemCountsToUsers(item_counts, user_begin, user_end), rng);
 }
 
-std::vector<double> ShardedSupportCounts(
+std::vector<uint64_t> ShardedSupportCounts(
     uint64_t n, size_t d, uint64_t seed, size_t shards,
-    const std::function<std::vector<double>(uint64_t, uint64_t, Rng&)>&
+    const std::function<std::vector<uint64_t>(uint64_t, uint64_t, Rng&)>&
         per_chunk) {
   const uint64_t per_shard = kUsersPerAggregationShard;
   const size_t num_chunks = static_cast<size_t>(UserChunkCount(n));
 
-  std::vector<std::vector<double>> partials(num_chunks);
+  std::vector<std::vector<uint64_t>> partials(num_chunks);
   ParallelFor(shards, num_chunks, [&](size_t chunk) {
     Rng rng(DeriveSeed(seed, chunk));
     const uint64_t begin = static_cast<uint64_t>(chunk) * per_shard;
@@ -144,11 +143,8 @@ std::vector<double> ShardedSupportCounts(
     partials[chunk] = per_chunk(begin, end, rng);
   });
 
-  // In-order merge.  (Partial counts are integer-valued doubles, so
-  // the sum is exact; the fixed order is belt and braces for any
-  // future non-integer partials.)
-  std::vector<double> counts(d, 0.0);
-  for (const std::vector<double>& partial : partials) {
+  std::vector<uint64_t> counts(d, 0);
+  for (const std::vector<uint64_t>& partial : partials) {
     LDPR_CHECK(partial.size() == d);
     for (size_t v = 0; v < d; ++v) counts[v] += partial[v];
   }
@@ -161,14 +157,13 @@ std::vector<double> FrequencyProtocol::SampleSupportCountsSharded(
   LDPR_CHECK(item_counts.size() == d_);
   uint64_t n = 0;
   for (uint64_t c : item_counts) n += c;
-  return ShardedSupportCounts(
-      n, d_, seed, shards,
-      [&](uint64_t begin, uint64_t end, Rng& rng) {
+  return CountsToDoubles(ShardedSupportCounts(
+      n, d_, seed, shards, [&](uint64_t begin, uint64_t end, Rng& rng) {
         return SampleSupportCountsRange(item_counts, begin, end, rng);
-      });
+      }));
 }
 
-std::vector<double> FrequencyProtocol::SampleSupportCountsChunk(
+std::vector<uint64_t> FrequencyProtocol::SampleSupportCountsChunk(
     const std::vector<uint64_t>& item_counts, uint64_t seed, uint64_t chunk,
     uint64_t users_per_chunk) const {
   LDPR_CHECK(item_counts.size() == d_);
@@ -186,7 +181,7 @@ std::vector<double> FrequencyProtocol::SampleSupportCountsChunk(
 }
 
 Aggregator::Aggregator(const FrequencyProtocol& protocol)
-    : protocol_(protocol), counts_(protocol.domain_size(), 0.0) {}
+    : protocol_(protocol), counts_(protocol.domain_size(), 0) {}
 
 void Aggregator::AddAll(const ReportBatch& batch) {
   protocol_.AccumulateSupportsBatch(batch, counts_);
@@ -200,15 +195,15 @@ void Aggregator::AddAllSharded(const ReportBatch& batch, size_t shards) {
     AddAll(batch);
     return;
   }
-  std::vector<std::vector<double>> partials(num_chunks);
+  std::vector<std::vector<uint64_t>> partials(num_chunks);
   ParallelFor(shards, num_chunks, [&](size_t chunk) {
-    std::vector<double> partial(counts_.size(), 0.0);
+    std::vector<uint64_t> partial(counts_.size(), 0);
     const size_t begin = chunk * per_chunk;
     const size_t end = std::min(batch.size(), begin + per_chunk);
     protocol_.AccumulateSupportsBatch(batch.Slice(begin, end), partial);
     partials[chunk] = std::move(partial);
   });
-  for (const std::vector<double>& partial : partials) {
+  for (const std::vector<uint64_t>& partial : partials) {
     for (size_t v = 0; v < counts_.size(); ++v) counts_[v] += partial[v];
   }
   report_count_ += batch.size();
@@ -218,12 +213,16 @@ void Aggregator::AddSampledPopulation(const std::vector<uint64_t>& item_counts,
                                       uint64_t seed, size_t shards) {
   uint64_t n = 0;
   for (uint64_t c : item_counts) n += c;
-  AddSampledCounts(protocol_.SampleSupportCountsSharded(item_counts, seed,
-                                                        shards),
-                   static_cast<size_t>(n));
+  AddSampledCounts(
+      ShardedSupportCounts(n, counts_.size(), seed, shards,
+                           [&](uint64_t begin, uint64_t end, Rng& rng) {
+                             return protocol_.SampleSupportCountsRange(
+                                 item_counts, begin, end, rng);
+                           }),
+      static_cast<size_t>(n));
 }
 
-void Aggregator::AddSampledCounts(const std::vector<double>& counts,
+void Aggregator::AddSampledCounts(const std::vector<uint64_t>& counts,
                                   size_t n) {
   LDPR_CHECK(counts.size() == counts_.size());
   for (size_t v = 0; v < counts_.size(); ++v) counts_[v] += counts[v];
@@ -236,7 +235,7 @@ std::vector<double> Aggregator::EstimateFrequencies() const {
 
 std::vector<double> Aggregator::EstimateFrequencies(size_t n_override) const {
   LDPR_CHECK(n_override > 0);
-  return protocol_.EstimateFrequencies(counts_, n_override);
+  return protocol_.EstimateFrequencies(CountsToDoubles(counts_), n_override);
 }
 
 }  // namespace ldpr

@@ -8,7 +8,10 @@
 //     Phi_eps(v) = (C(v) - n*q) / (p - q),
 //
 // where C(v) counts the reports whose support set contains v
-// (Eq. (12)-(13)).  Each concrete protocol supplies its perturbation
+// (Eq. (12)-(13)).  C(v) is a count, so it is a uint64_t wherever it
+// is accumulated or merged (kernels, samplers, shard partials,
+// Aggregator); it becomes a double once, where Eq. (11) consumes it
+// (CountsToDoubles).  Each concrete protocol supplies its perturbation
 // probabilities p and q, its batched perturbation and crafting
 // algorithms, and its batched support counter; the shared
 // aggregation and estimation logic lives here.  Protocols implement
@@ -75,19 +78,6 @@ inline constexpr uint64_t kUsersPerAggregationShard = 1u << 16;
 /// O(d)-per-report protocols (OLH, unary).
 inline constexpr size_t kReportsPerAggregationShard = 1u << 13;
 
-/// How many canonical users of one item fall inside
-/// [user_begin, user_end), given that the item's user block starts at
-/// `item_offset` and holds `item_count` users.  The single home of
-/// the canonical-ordering clipping arithmetic — used by
-/// RestrictItemCountsToUsers and the protocol range samplers.
-inline uint64_t UsersOfItemInRange(uint64_t item_offset, uint64_t item_count,
-                                   uint64_t user_begin, uint64_t user_end) {
-  const uint64_t lo = item_offset < user_begin ? user_begin : item_offset;
-  const uint64_t item_end = item_offset + item_count;
-  const uint64_t hi = item_end < user_end ? item_end : user_end;
-  return hi > lo ? hi - lo : 0;
-}
-
 /// Restriction of a population histogram to the canonical users
 /// [user_begin, user_end): entry v is how many of those users hold
 /// item v.  The canonical ordering groups users by item, items
@@ -119,14 +109,18 @@ inline uint64_t ReportChunkCount(
 /// path: cuts an n-user population into kUsersPerAggregationShard-
 /// sized chunks, runs per_chunk(user_begin, user_end, rng) for chunk
 /// c on Rng(DeriveSeed(seed, c)) across `shards` pool workers (0 =
-/// auto), and merges the returned length-d partial vectors in chunk
-/// order.  The chunk decomposition depends only on n, so the output
-/// is byte-identical at every `shards` value.
-std::vector<double> ShardedSupportCounts(
+/// auto), and sums the returned length-d partial vectors.  The chunk
+/// decomposition depends only on n, so the output is byte-identical
+/// at every `shards` value.
+std::vector<uint64_t> ShardedSupportCounts(
     uint64_t n, size_t d, uint64_t seed, size_t shards,
-    const std::function<std::vector<double>(uint64_t user_begin,
-                                            uint64_t user_end, Rng& rng)>&
+    const std::function<std::vector<uint64_t>(uint64_t user_begin,
+                                              uint64_t user_end, Rng& rng)>&
         per_chunk);
+
+/// Support counts as the doubles Eq. (11) consumes: the one place a
+/// count leaves the integers.  Exact for counts below 2^53.
+std::vector<double> CountsToDoubles(const std::vector<uint64_t>& counts);
 
 /// Interface of a pure LDP frequency-estimation protocol.
 class FrequencyProtocol {
@@ -165,11 +159,11 @@ class FrequencyProtocol {
   /// pass: GRR a value histogram (O(n + d)), the unary family packed
   /// per-column bit sums, and local hashing an (item-block x
   /// report-block) tiling that keeps the seeds/values slices and the
-  /// active counts window in cache.  Counts are integer sums, so any
-  /// grouping of the batch (flush buffers, shard chunks) gives
-  /// byte-identical totals.
-  virtual void AccumulateSupportsBatch(const ReportBatch& batch,
-                                       std::vector<double>& counts) const = 0;
+  /// active counts window in cache.  Counts are integers, so any
+  /// grouping of the batch (flush buffers, shard chunks) gives the
+  /// same totals.
+  virtual void AccumulateSupportsBatch(
+      const ReportBatch& batch, std::vector<uint64_t>& counts) const = 0;
 
   /// Server-side estimation Phi_eps: converts raw support counts into
   /// unbiased count estimates, Eq. (11): (C(v) - n*q) / (p - q).
@@ -191,26 +185,23 @@ class FrequencyProtocol {
 
   /// Samples the support-count vector the server would observe from
   /// genuine users holding `item_counts[v]` copies of each item,
-  /// without materializing per-user reports.
-  ///
-  /// The default implementation simulates each user exactly.  GRR and
-  /// OUE override with exact closed-form sampling (multinomial /
-  /// independent binomials); OLH overrides with per-item-exact
-  /// binomials (the per-item marginal law is exactly binomial; only
-  /// the cross-item correlation induced by shared hash seeds is
-  /// dropped — see "Closed-form OLH/BLH sampling" in
-  /// docs/architecture.md).
-  virtual std::vector<double> SampleSupportCounts(
-      const std::vector<uint64_t>& item_counts, Rng& rng) const;
+  /// without materializing per-user reports.  GRR samples exactly
+  /// (multinomial), the unary family exactly (independent
+  /// binomials), local hashing per-item exactly (the per-item
+  /// marginal law is binomial; only the cross-item correlation of
+  /// shared hash seeds is dropped — see "Closed-form OLH/BLH
+  /// sampling" in docs/architecture.md).  ExactSupportCounts is the
+  /// per-user reference these laws are tested against.
+  virtual std::vector<uint64_t> SampleSupportCounts(
+      const std::vector<uint64_t>& item_counts, Rng& rng) const = 0;
 
   /// Samples the support-count contribution of the canonical users
   /// [user_begin, user_end) only — the shard-level building block of
-  /// SampleSupportCountsSharded.  Every closed-form sampler
-  /// decomposes over user subsets (sums of independent binomials /
-  /// multinomials recompose), so the default restricts the histogram
-  /// and delegates to SampleSupportCounts; OLH and the unary family
-  /// override to skip the intermediate histogram.
-  virtual std::vector<double> SampleSupportCountsRange(
+  /// SampleSupportCountsSharded: SampleSupportCounts on the
+  /// restricted histogram.  Every closed-form sampler decomposes over
+  /// user subsets (sums of independent binomials / multinomials
+  /// recompose).
+  std::vector<uint64_t> SampleSupportCountsRange(
       const std::vector<uint64_t>& item_counts, uint64_t user_begin,
       uint64_t user_end, Rng& rng) const;
 
@@ -239,20 +230,20 @@ class FrequencyProtocol {
   /// generates every user's report through AppendGenuineReports (in
   /// the canonical per-user Rng draw order) and accumulates through
   /// the batched path in kBatchFlushReports-sized SoA flushes.
-  /// Non-virtual — the shared engine of the default
-  /// SampleSupportCounts and the exact-genuine reference path
-  /// (sim/pipeline's ExactGenuineSupportCounts).
-  std::vector<double> ExactSupportCounts(
+  /// The exact-genuine reference path (sim/pipeline's
+  /// ExactGenuineSupportCounts).
+  std::vector<uint64_t> ExactSupportCounts(
       const std::vector<uint64_t>& item_counts, Rng& rng) const;
 
   /// Sharded, deterministic SampleSupportCounts: splits the
   /// population into kUsersPerAggregationShard-sized contiguous
   /// chunks of the canonical user ordering, samples chunk c on
-  /// Rng(DeriveSeed(seed, c)) via SampleSupportCountsRange, and merges
-  /// the partial vectors in chunk order across `shards` pool workers
-  /// (0 = auto, 1 = run chunks serially).  Output is byte-identical
-  /// at every `shards` value because neither the chunking nor the
-  /// per-chunk RNG streams depend on it.
+  /// Rng(DeriveSeed(seed, c)) via SampleSupportCountsRange, and sums
+  /// the partial vectors across `shards` pool workers (0 = auto, 1 =
+  /// run chunks serially).  Output is byte-identical at every
+  /// `shards` value because neither the chunking nor the per-chunk RNG
+  /// streams depend on it.  Returned as doubles: this is where the
+  /// trial layer takes the genuine counts into estimation.
   std::vector<double> SampleSupportCountsSharded(
       const std::vector<uint64_t>& item_counts, uint64_t seed,
       size_t shards) const;
@@ -261,10 +252,9 @@ class FrequencyProtocol {
   /// out-of-process shard worker (src/shard/) can compute exactly the
   /// partial the in-process path would: support counts of canonical
   /// user chunk `chunk` (see UserChunkCount) sampled on
-  /// Rng(DeriveSeed(seed, chunk)).  Summing the chunks in ascending
-  /// order reproduces SampleSupportCountsSharded byte for byte at the
-  /// default chunk size (integer-valued partials sum exactly).
-  std::vector<double> SampleSupportCountsChunk(
+  /// Rng(DeriveSeed(seed, chunk)).  Summing the chunks reproduces
+  /// SampleSupportCountsSharded at the default chunk size.
+  std::vector<uint64_t> SampleSupportCountsChunk(
       const std::vector<uint64_t>& item_counts, uint64_t seed, uint64_t chunk,
       uint64_t users_per_chunk = kUsersPerAggregationShard) const;
 
@@ -304,10 +294,9 @@ class Aggregator {
   /// Folds a batch of reports across `shards` pool workers (0 =
   /// auto): the batch splits into kReportsPerAggregationShard-sized
   /// chunks, each chunk runs AccumulateSupportsBatch into its own
-  /// partial vector, and the partials merge in chunk order.  Support
-  /// counts are sums of 1.0's (exact in double well past 2^50
-  /// reports), so the result is byte-identical to AddAll at every
-  /// shard count.  Chunks are zero-copy Slice() views.
+  /// partial vector, and the partials are summed.  Integer counts make
+  /// the result identical to AddAll at every shard count.  Chunks are
+  /// zero-copy Slice() views.
   void AddAllSharded(const ReportBatch& batch, size_t shards);
 
   /// Samples and folds the aggregate of a whole genuine population
@@ -321,11 +310,17 @@ class Aggregator {
   size_t report_count() const { return report_count_; }
 
   /// Raw support counts C(v).
-  const std::vector<double>& support_counts() const { return counts_; }
+  const std::vector<uint64_t>& counts() const { return counts_; }
+
+  /// C(v) as doubles, for callers that take the counts into
+  /// estimation (CountsToDoubles).
+  std::vector<double> support_counts() const {
+    return CountsToDoubles(counts_);
+  }
 
   /// Merges support counts of `n` additional users aggregated
   /// elsewhere (a closed-form sample, another aggregator's totals).
-  void AddSampledCounts(const std::vector<double>& counts, size_t n);
+  void AddSampledCounts(const std::vector<uint64_t>& counts, size_t n);
 
   /// Unbiased frequency estimates over all reports seen so far.
   std::vector<double> EstimateFrequencies() const;
@@ -336,7 +331,7 @@ class Aggregator {
 
  private:
   const FrequencyProtocol& protocol_;
-  std::vector<double> counts_;
+  std::vector<uint64_t> counts_;
   size_t report_count_ = 0;
 };
 

@@ -23,12 +23,9 @@
 // library itself never relies on it — it exists for tests, examples
 // and callers outside the library that hold materialized reports.
 //
-// Determinism: support counts are sums of 1.0's, exactly
-// representable integers far below 2^53, so *any* regrouping of the
-// additions yields byte-identical doubles.  Every batched kernel
-// exploits exactly this — accumulate integer subtotals, add each
-// subtotal once — as do the flush buffers and sharded partial sums
-// (see "Exact support-count sums" in docs/architecture.md).
+// Determinism: support counts are uint64_t, so *any* grouping of a
+// batch (kernel tiles, flush buffers, shard chunks) yields the same
+// counts (see "Support counts are integers" in docs/architecture.md).
 //
 // A builder-mode batch is homogeneous: either every appended report
 // carries a bit row of the same width or none does (checked on

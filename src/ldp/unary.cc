@@ -1,7 +1,5 @@
 #include "ldp/unary.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 #include "util/simd.h"
 
@@ -36,28 +34,12 @@ void UnaryEncoding::AppendCraftedReport(ItemId item, Rng& rng,
   out.AddBitsRow()[item] = 1;
 }
 
-void UnaryEncoding::AccumulateSupportsBatch(const ReportBatch& batch,
-                                            std::vector<double>& counts) const {
+void UnaryEncoding::AccumulateSupportsBatch(
+    const ReportBatch& batch, std::vector<uint64_t>& counts) const {
   LDPR_CHECK(counts.size() == d_);
   if (batch.empty()) return;
   LDPR_CHECK(batch.bits_width() == d_);
-  // Per-column integer sums over row tiles: the tile bounds the
-  // uint32 column accumulators (bits are 0/1, so a tile of < 2^32
-  // rows cannot overflow); per tile, each column total is added to
-  // counts once, in ascending column order.  The column summation
-  // itself runs through the byte-lane SIMD kernel over the packed
-  // row-major matrix.
-  constexpr size_t kRowTile = 1u << 22;
-  std::vector<uint32_t> column_ones(d_);
-  for (size_t row0 = 0; row0 < batch.size(); row0 += kRowTile) {
-    const size_t row1 = std::min(batch.size(), row0 + kRowTile);
-    std::fill(column_ones.begin(), column_ones.end(), 0u);
-    SimdUnaryColumnsAddPacked(batch.bits() + row0 * d_, row1 - row0, d_,
-                              column_ones.data());
-    for (size_t v = 0; v < d_; ++v) {
-      if (column_ones[v] != 0) counts[v] += static_cast<double>(column_ones[v]);
-    }
-  }
+  SimdUnaryColumnsAddPacked(batch.bits(), batch.size(), d_, counts.data());
 }
 
 double UnaryEncoding::CountVariance(double f, size_t n) const {
@@ -68,34 +50,15 @@ double UnaryEncoding::CountVariance(double f, size_t n) const {
          (diff * diff);
 }
 
-std::vector<double> UnaryEncoding::SampleSupportCounts(
+std::vector<uint64_t> UnaryEncoding::SampleSupportCounts(
     const std::vector<uint64_t>& item_counts, Rng& rng) const {
   LDPR_CHECK(item_counts.size() == d_);
   uint64_t n = 0;
   for (uint64_t c : item_counts) n += c;
-  std::vector<double> counts(d_);
+  std::vector<uint64_t> counts(d_);
   for (size_t v = 0; v < d_; ++v) {
     const uint64_t own = item_counts[v];
-    counts[v] = static_cast<double>(rng.Binomial(own, p_keep_) +
-                                    rng.Binomial(n - own, q_flip_));
-  }
-  return counts;
-}
-
-std::vector<double> UnaryEncoding::SampleSupportCountsRange(
-    const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-    uint64_t user_end, Rng& rng) const {
-  LDPR_CHECK(item_counts.size() == d_);
-  LDPR_CHECK(user_begin <= user_end);
-  const uint64_t chunk_n = user_end - user_begin;
-  std::vector<double> counts(d_);
-  uint64_t offset = 0;
-  for (size_t v = 0; v < d_; ++v) {
-    const uint64_t own =
-        UsersOfItemInRange(offset, item_counts[v], user_begin, user_end);
-    offset += item_counts[v];
-    counts[v] = static_cast<double>(rng.Binomial(own, p_keep_) +
-                                    rng.Binomial(chunk_n - own, q_flip_));
+    counts[v] = rng.Binomial(own, p_keep_) + rng.Binomial(n - own, q_flip_);
   }
   return counts;
 }

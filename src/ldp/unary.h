@@ -31,11 +31,11 @@ class UnaryEncoding : public FrequencyProtocol {
   void AppendCraftedReport(ItemId item, Rng& rng,
                            ReportBatch::Builder& out) const override;
 
-  /// A report supports every item whose bit is set.  Sums the batch's
-  /// packed 0/1 bit rows into integer column totals (byte-lane SIMD
-  /// accumulation, util/simd.h) and adds each column total once.
+  /// A report supports every item whose bit is set: sums the batch's
+  /// packed 0/1 bit rows into the column counts (byte-lane SIMD
+  /// accumulation, util/simd.h).
   void AccumulateSupportsBatch(const ReportBatch& batch,
-                               std::vector<double>& counts) const override;
+                               std::vector<uint64_t>& counts) const override;
 
   /// Exact generic unary variance:
   /// Var[Phi(v)] = (n f p(1-p) + n(1-f) q(1-q)) / (p-q)^2.
@@ -46,16 +46,8 @@ class UnaryEncoding : public FrequencyProtocol {
   /// Binomial(n - n_v, q) jointly independently.  Both binomials
   /// decompose over user subsets, so the sharded path recomposes the
   /// exact same joint law.
-  std::vector<double> SampleSupportCounts(
+  std::vector<uint64_t> SampleSupportCounts(
       const std::vector<uint64_t>& item_counts, Rng& rng) const override;
-
-  /// Shard building block: the same two binomials restricted to the
-  /// canonical users [user_begin, user_end), without materializing
-  /// the restricted histogram.  Draws in the same order as
-  /// SampleSupportCounts on the restriction (bit-compatible).
-  std::vector<double> SampleSupportCountsRange(
-      const std::vector<uint64_t>& item_counts, uint64_t user_begin,
-      uint64_t user_end, Rng& rng) const override;
 
   /// Expected number of 1-bits in a genuine report: p + (d-1) q.
   /// MGA pads crafted vectors to this count.

@@ -18,10 +18,10 @@
 //       hash order must never feed sinks, table rows, or merges.
 //       Keyed lookups (find/emplace/at/[]) are fine.
 //   R3  float/double accumulation (`+=`/`-=`) inside loops in
-//       src/ldp/, src/stream/, src/recover/ must sit in a file on the
-//       exact-sum allowlist (ci/lint_allowlist.txt) or carry a
-//       `// lint: fp-order-ok(<reason>)` pragma — regrouping fp sums
-//       across shard counts changes bits unless the sums are exact.
+//       src/ldp/, src/stream/, src/recover/ must carry a
+//       `// lint: fp-order-ok(<reason>)` pragma or an allowlist entry
+//       (ci/lint_allowlist.txt) — regrouping fp sums across shard
+//       counts changes bits.  Support counts are integers.
 //   R4  test registration: the CMakeLists tests/*_test.cc glob is
 //       present, every test the sanitizer CI jobs build is also run
 //       (and vice versa), every such test exists on disk, every test

@@ -1,14 +1,14 @@
 // R3 — floating-point accumulation order in the hot directories.
 //
-// Support counts stay bit-identical across shard counts only because
-// every merged sum is exact (integer-valued doubles below 2^53 —
-// docs/architecture.md).  A new `double acc += ...` in a loop in
-// src/ldp/, src/stream/, or src/recover/ is exactly where that
-// argument silently stops holding, so each one must either live in a
-// file on the exact-sum allowlist (an `R3 <file> ...` entry in
-// ci/lint_allowlist.txt, asserting every fp accumulation there is an
-// exact sum) or carry `// lint: fp-order-ok(<reason>)` explaining why
-// regrouping is safe (e.g. a serial fixed-order loop).
+// Support counts are uint64_t wherever they are accumulated or merged
+// (ldp/protocol.h), so regrouping them across shards, flush buffers
+// or SIMD lanes cannot change a bit.  What stays floating point in
+// src/ldp/, src/stream/ and src/recover/ — estimates, distances,
+// variances — does change bits when regrouped, so a `double acc +=
+// ...` in a loop there must carry `// lint: fp-order-ok(<reason>)`
+// naming why its order is fixed (e.g. a serial loop that is never
+// sharded), or its file needs an `R3 <file> ...` entry in
+// ci/lint_allowlist.txt (none exists).
 //
 // "Floating-point" is decided from evidence the scanner can see: the
 // accumulation target is declared float/double in this file or its

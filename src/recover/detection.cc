@@ -41,7 +41,7 @@ DetectionFilter::DetectionFilter(const FrequencyProtocol& protocol,
     : protocol_(protocol),
       targets_(std::move(targets)),
       is_target_(protocol.domain_size(), 0),
-      kept_counts_(protocol.domain_size(), 0.0) {
+      kept_counts_(protocol.domain_size(), 0) {
   LDPR_CHECK(!targets_.empty());
   for (ItemId t : targets_) {
     LDPR_CHECK(t < protocol_.domain_size());
@@ -153,18 +153,16 @@ void DetectionFilter::OfferSampledGrr(const std::vector<uint64_t>& item_counts,
   // A GRR report supports exactly the item it carries, so filtering
   // simply drops reports landing on targets.  Sample the full report
   // histogram exactly, then zero the target rows.
-  const std::vector<double> counts =
+  const std::vector<uint64_t> counts =
       protocol_.SampleSupportCounts(item_counts, rng);
   uint64_t total = 0;
   for (uint64_t c : item_counts) total += c;
   offered_ += total;
-  double kept_total = 0.0;
   for (size_t v = 0; v < counts.size(); ++v) {
     if (is_target_[v]) continue;
     kept_counts_[v] += counts[v];
-    kept_total += counts[v];
+    kept_ += counts[v];
   }
-  kept_ += static_cast<size_t>(kept_total);
 }
 
 void DetectionFilter::OfferSampledOue(const std::vector<uint64_t>& item_counts,
@@ -206,8 +204,7 @@ void DetectionFilter::OfferSampledOue(const std::vector<uint64_t>& item_counts,
     const uint64_t rest = kept_total - own;
     if (!is_target_[v]) {
       // Unconditioned genuine law.
-      kept_counts_[v] +=
-          static_cast<double>(rng.Binomial(own, p) + rng.Binomial(rest, q));
+      kept_counts_[v] += rng.Binomial(own, p) + rng.Binomial(rest, q);
       continue;
     }
     // Target rows: condition each holder class on "kept".
@@ -215,8 +212,8 @@ void DetectionFilter::OfferSampledOue(const std::vector<uint64_t>& item_counts,
         (p - flag_target) / (1.0 - flag_target);
     const double rest_bit =
         (q - flag_nontarget) / (1.0 - flag_nontarget);
-    kept_counts_[v] += static_cast<double>(rng.Binomial(own, own_bit) +
-                                           rng.Binomial(rest, rest_bit));
+    kept_counts_[v] +=
+        rng.Binomial(own, own_bit) + rng.Binomial(rest, rest_bit);
   }
 }
 
@@ -225,7 +222,7 @@ void DetectionFilter::ResetWindow() {
   total_kept_base_ += kept_;
   offered_ = 0;
   kept_ = 0;
-  std::fill(kept_counts_.begin(), kept_counts_.end(), 0.0);
+  std::fill(kept_counts_.begin(), kept_counts_.end(), 0);
 }
 
 void DetectionFilter::OfferSampledGenuine(
@@ -261,25 +258,25 @@ void DetectionFilter::OfferSampledGenuineSharded(
   // OfferSampledGenuine on its restricted histogram through a local
   // filter and exports its kept support counts plus — in one extra
   // trailing slot — its kept-report count.
-  const std::vector<double> merged = ShardedSupportCounts(
+  const std::vector<uint64_t> merged = ShardedSupportCounts(
       n, d + 1, seed, shards,
       [&](uint64_t begin, uint64_t end, Rng& rng) {
         DetectionFilter local(protocol_, targets_);
         local.OfferSampledGenuine(
             RestrictItemCountsToUsers(item_counts, begin, end), rng);
-        std::vector<double> partial = std::move(local.kept_counts_);
-        partial.push_back(static_cast<double>(local.kept_));
+        std::vector<uint64_t> partial = std::move(local.kept_counts_);
+        partial.push_back(local.kept_);
         return partial;
       });
 
   offered_ += n;
-  kept_ += static_cast<size_t>(merged[d]);
+  kept_ += merged[d];
   for (size_t v = 0; v < d; ++v) kept_counts_[v] += merged[v];
 }
 
 std::vector<double> DetectionFilter::Estimate() const {
   LDPR_CHECK(kept_ > 0);
-  return protocol_.EstimateFrequencies(kept_counts_, kept_);
+  return protocol_.EstimateFrequencies(CountsToDoubles(kept_counts_), kept_);
 }
 
 }  // namespace ldpr

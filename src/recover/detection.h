@@ -104,7 +104,7 @@ class DetectionFilter {
   std::vector<ItemId> targets_;
   size_t threshold_ = 1;
   std::vector<uint8_t> is_target_;
-  std::vector<double> kept_counts_;
+  std::vector<uint64_t> kept_counts_;
   size_t offered_ = 0;
   size_t kept_ = 0;
   size_t total_offered_base_ = 0;

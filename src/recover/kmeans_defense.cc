@@ -148,13 +148,12 @@ KMeansDefenseResult RunKMeansDefense(const FrequencyProtocol& protocol,
 
   // Aggregate over the *users* of each cluster — the defense keeps
   // only the genuine cluster's reports — as sums of the subset
-  // counts (integer-valued, so the sums are exact).
+  // counts.
   Aggregator genuine(protocol);
   Aggregator malicious(protocol);
   for (size_t s = 0; s < num_subsets; ++s) {
     Aggregator& sink = result.subset_is_malicious[s] ? malicious : genuine;
-    sink.AddSampledCounts(subsets[s].support_counts(),
-                          subsets[s].report_count());
+    sink.AddSampledCounts(subsets[s].counts(), subsets[s].report_count());
   }
   LDPR_CHECK(genuine.report_count() > 0);
   result.genuine_estimate = genuine.EstimateFrequencies();

@@ -38,11 +38,10 @@ Status CheckGeometry(const PartialRecord& rec, const SourceGeometry& geo) {
 }
 
 // Merges one source's accepted records: sorts by chunk range, drops
-// byte-equal duplicates, rejects conflicts/overlaps, accumulates in
-// ascending chunk order, and counts gap chunks.  Counts are exact
-// integer-valued doubles, so the ascending-order sum is byte-equal to
-// the in-process chunk-order merge no matter how records group
-// chunks.
+// byte-equal duplicates, rejects conflicts/overlaps, sums the integer
+// counts, and counts gap chunks.  The sum equals the in-process
+// merge no matter how records group chunks; it becomes `counts`, as
+// doubles, once every record is in.
 Status MergeSource(std::vector<const PartialRecord*>& records,
                    const SourceGeometry& geo, size_t d,
                    std::vector<double>& counts, uint64_t& chunks_lost,
@@ -54,7 +53,7 @@ Status MergeSource(std::vector<const PartialRecord*>& records,
                 return a->chunk_begin < b->chunk_begin;
               return a->chunk_end < b->chunk_end;
             });
-  counts.assign(d, 0.0);
+  std::vector<uint64_t> sum(d, 0);
   uint64_t cursor = 0;
   const PartialRecord* prev = nullptr;
   for (const PartialRecord* rec : records) {
@@ -71,13 +70,14 @@ Status MergeSource(std::vector<const PartialRecord*>& records,
     if (rec->chunk_begin < cursor)
       return InvalidArgumentError("overlapping partial chunk ranges");
     chunks_lost += rec->chunk_begin - cursor;
-    for (size_t v = 0; v < d; ++v) counts[v] += rec->counts[v];
+    for (size_t v = 0; v < d; ++v) sum[v] += rec->counts[v];
     units_covered += rec->unit_end - rec->unit_begin;
     cursor = rec->chunk_end;
     prev = rec;
     ++used;
   }
   chunks_lost += geo.chunks - cursor;
+  counts = CountsToDoubles(sum);
   return Status::Ok();
 }
 

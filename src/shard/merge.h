@@ -61,6 +61,8 @@ struct MergeStats {
   uint64_t reports_covered = 0;
 };
 
+/// The merged support counts, as the doubles ComputeShardOutcome
+/// estimates from.
 struct MergedPartials {
   std::vector<double> genuine_counts;
   std::vector<double> malicious_counts;

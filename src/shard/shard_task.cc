@@ -29,6 +29,9 @@ StatusOr<ShardTaskPlan> BuildShardTaskPlan(const ShardTaskSpec& spec,
     return InvalidArgumentError("chunk sizes must be positive");
   if (dataset.domain_size() < 2)
     return InvalidArgumentError("dataset domain too small for a protocol");
+  if (const Status epsilon = ValidateEpsilon(spec.protocol, spec.epsilon);
+      !epsilon.ok())
+    return epsilon;
 
   ShardTaskPlan plan;
   plan.spec = spec;
@@ -66,21 +69,21 @@ StatusOr<ShardTaskPlan> BuildShardTaskPlan(const ShardTaskSpec& spec,
   return plan;
 }
 
-std::vector<double> GenuineChunkCounts(const ShardTaskPlan& plan,
-                                       uint64_t chunk) {
+std::vector<uint64_t> GenuineChunkCounts(const ShardTaskPlan& plan,
+                                         uint64_t chunk) {
   LDPR_CHECK(chunk < plan.genuine_chunks);
   return plan.protocol->SampleSupportCountsChunk(
       plan.item_counts, plan.genuine_seed, chunk,
       plan.spec.chunking.users_per_chunk);
 }
 
-std::vector<double> MaliciousChunkCounts(const ShardTaskPlan& plan,
-                                         uint64_t chunk) {
+std::vector<uint64_t> MaliciousChunkCounts(const ShardTaskPlan& plan,
+                                           uint64_t chunk) {
   LDPR_CHECK(chunk < plan.malicious_chunks);
   const uint64_t rpc = plan.spec.chunking.reports_per_chunk;
   const uint64_t begin = chunk * rpc;
   const uint64_t end = std::min<uint64_t>(plan.m, begin + rpc);
-  std::vector<double> counts(plan.protocol->domain_size(), 0.0);
+  std::vector<uint64_t> counts(plan.protocol->domain_size(), 0);
   plan.protocol->AccumulateSupportsBatch(
       plan.malicious_reports.Slice(static_cast<size_t>(begin),
                                    static_cast<size_t>(end)),
@@ -90,7 +93,7 @@ std::vector<double> MaliciousChunkCounts(const ShardTaskPlan& plan,
 
 namespace {
 
-void AddInto(std::vector<double>& acc, const std::vector<double>& part) {
+void AddInto(std::vector<uint64_t>& acc, const std::vector<uint64_t>& part) {
   LDPR_CHECK(acc.size() == part.size());
   for (size_t v = 0; v < acc.size(); ++v) acc[v] += part[v];
 }
@@ -117,7 +120,7 @@ std::vector<PartialRecord> ComputeWorkerPartials(const ShardTaskPlan& plan,
     const uint64_t upc = plan.spec.chunking.users_per_chunk;
     rec.unit_begin = std::min<uint64_t>(plan.n, genuine_begin * upc);
     rec.unit_end = std::min<uint64_t>(plan.n, genuine_end * upc);
-    rec.counts.assign(d, 0.0);
+    rec.counts.assign(d, 0);
     for (uint64_t c = genuine_begin; c < genuine_end; ++c)
       AddInto(rec.counts, GenuineChunkCounts(plan, c));
     records.push_back(std::move(rec));
@@ -134,7 +137,7 @@ std::vector<PartialRecord> ComputeWorkerPartials(const ShardTaskPlan& plan,
     const uint64_t rpc = plan.spec.chunking.reports_per_chunk;
     rec.unit_begin = std::min<uint64_t>(plan.m, malicious_begin * rpc);
     rec.unit_end = std::min<uint64_t>(plan.m, malicious_end * rpc);
-    rec.counts.assign(d, 0.0);
+    rec.counts.assign(d, 0);
     for (uint64_t c = malicious_begin; c < malicious_end; ++c)
       AddInto(rec.counts, MaliciousChunkCounts(plan, c));
     records.push_back(std::move(rec));

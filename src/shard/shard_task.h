@@ -11,12 +11,10 @@
 //
 // Worker w of W owns the contiguous range WorkerChunkRange(G+M, w, W)
 // and emits at most two PartialRecords — one per source stream it
-// touches — with chunk counts accumulated in ascending chunk order.
-// Support counts are sums of 1.0's (exact in double far past 2^50),
-// so any regrouping of the chunk sums is exact: the merger's output
-// is byte-identical to the in-process Aggregator::AddAllSharded /
-// SampleSupportCountsSharded paths no matter how chunks were split
-// across workers.
+// touches — with its chunks' support counts summed.  Counts are
+// integers, so the merger's output equals the in-process
+// Aggregator::AddAllSharded / SampleSupportCountsSharded paths no
+// matter how chunks were split across workers.
 //
 // RNG discipline mirrors sim/pipeline.cc RunPoisoningTrial exactly:
 // the trial Rng(seed) first yields the genuine fan-out seed, then
@@ -80,10 +78,10 @@ StatusOr<ShardTaskPlan> BuildShardTaskPlan(const ShardTaskSpec& spec,
 
 /// Partial counts of a single genuine user chunk / malicious report
 /// chunk (the unit the worker loop and the equivalence tests share).
-std::vector<double> GenuineChunkCounts(const ShardTaskPlan& plan,
-                                       uint64_t chunk);
-std::vector<double> MaliciousChunkCounts(const ShardTaskPlan& plan,
+std::vector<uint64_t> GenuineChunkCounts(const ShardTaskPlan& plan,
                                          uint64_t chunk);
+std::vector<uint64_t> MaliciousChunkCounts(const ShardTaskPlan& plan,
+                                           uint64_t chunk);
 
 /// Computes worker `worker`'s partial records over its canonical
 /// chunk range: at most one record per source stream, chunks

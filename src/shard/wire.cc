@@ -43,19 +43,24 @@ StatusOr<uint64_t> FromHex16(const std::string& hex) {
   return value;
 }
 
-// Reads a JSON number member that must hold an exact non-negative
-// integer (chunk indices, unit counts, overrides).  Everything stored
+// Reads a JSON number that must hold an exact non-negative integer
+// (chunk indices, unit ranges, overrides, counts).  Everything stored
 // this way is far below 2^53, so the double round-trip is exact; the
 // one full-64-bit field (the seed) travels as hex instead.
-StatusOr<uint64_t> GetUInt(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.Find(key);
+StatusOr<uint64_t> AsUInt(const JsonValue* v, const std::string& what) {
   if (v == nullptr || !v->is_number())
-    return InvalidArgumentError("missing numeric field: " + key);
+    return InvalidArgumentError("missing numeric field: " + what);
   const double x = v->number();
-  const uint64_t u = static_cast<uint64_t>(x);
-  if (x < 0 || static_cast<double>(u) != x)
-    return InvalidArgumentError("field not a non-negative integer: " + key);
-  return u;
+  // The range test comes first: casting a negative, huge or NaN
+  // double to uint64_t is undefined.
+  if (!(x >= 0.0 && x < 0x1p64) ||
+      static_cast<double>(static_cast<uint64_t>(x)) != x)
+    return InvalidArgumentError("field not a non-negative integer: " + what);
+  return static_cast<uint64_t>(x);
+}
+
+StatusOr<uint64_t> GetUInt(const JsonValue& obj, const std::string& key) {
+  return AsUInt(obj.Find(key), key);
 }
 
 StatusOr<double> GetNumber(const JsonValue& obj, const std::string& key) {
@@ -188,7 +193,7 @@ std::string EncodePartialLine(const PartialRecord& record) {
   w.UInt(record.unit_end);
   w.Key("counts");
   w.BeginArray();
-  for (double c : record.counts) w.Number(c);
+  for (uint64_t c : record.counts) w.UInt(c);
   w.EndArray();
   w.EndObject();
 
@@ -282,9 +287,9 @@ StatusOr<PartialRecord> DecodePartialLine(const std::string& line) {
     return InvalidArgumentError("missing counts array");
   record.counts.reserve(counts->array().size());
   for (const JsonValue& c : counts->array()) {
-    if (!c.is_number())
-      return InvalidArgumentError("non-numeric count entry");
-    record.counts.push_back(c.number());
+    const auto count = AsUInt(&c, "counts entry");
+    if (!count.ok()) return count.status();
+    record.counts.push_back(*count);
   }
   return record;
 }

@@ -17,12 +17,12 @@
 // the unit range (users or reports) those chunks cover, and the
 // length-d counts vector.
 //
-// Determinism: counts are integer-valued doubles far below 2^53 and
-// serialize via the shortest round-trip representation
-// (util/json_writer.h), so encode(decode(line)) == line byte for
-// byte and merged sums regroup exactly.  Seeds are full 64-bit values
-// (DeriveSeed output), which a JSON double cannot hold — they travel
-// as 16-hex-digit strings.
+// Determinism: counts are uint64_t support counts written as JSON
+// integers, and the decoder accepts only non-negative integers there,
+// so encode(decode(line)) == line byte for byte.  The JSON reader
+// holds numbers as doubles, which is exact for every count below
+// 2^53.  Seeds are full 64-bit values (DeriveSeed output), which a
+// JSON double cannot hold — they travel as 16-hex-digit strings.
 //
 // Everything here is pure serialization; chunk semantics live in
 // shard_task.h, merging in merge.h, fault injection in fault.h.
@@ -40,10 +40,11 @@
 
 namespace ldpr {
 
-/// Wire format version; bumped on any incompatible payload change.
-/// Decoders reject other versions outright — partials are transient
-/// artifacts of one run, never archived across releases.
-inline constexpr int kShardWireVersion = 1;
+/// Wire format version; bumped on any incompatible payload change
+/// (version 2: counts must be non-negative integers).  Decoders
+/// reject other versions outright — partials are transient artifacts
+/// of one run, never archived across releases.
+inline constexpr int kShardWireVersion = 2;
 
 /// Seed of the xxHash64 payload checksum ("LDPR" in ASCII).
 inline constexpr uint64_t kShardChecksumSeed = 0x4c445052;
@@ -102,7 +103,7 @@ struct PartialRecord {
   uint64_t chunk_end = 0;
   uint64_t unit_begin = 0;   // users (genuine) or reports (malicious)
   uint64_t unit_end = 0;
-  std::vector<double> counts;
+  std::vector<uint64_t> counts;
 };
 
 /// Serializes one record as a single '\n'-terminated wire line.

@@ -126,8 +126,9 @@ Status ValidateExperimentInputs(const ExperimentConfig& config,
     return InvalidArgumentError(
         "dataset is empty (zero users): nothing to aggregate");
   }
-  if (!(config.epsilon > 0.0)) {  // negated so NaN fails too
-    return InvalidArgumentError("epsilon must be > 0");
+  if (const Status epsilon = ValidateEpsilon(config.protocol, config.epsilon);
+      !epsilon.ok()) {
+    return epsilon;
   }
   if (config.trials < 1) {
     return InvalidArgumentError("trials must be >= 1");

@@ -118,8 +118,9 @@ struct ExperimentResult {
 /// Validates the user-reachable knobs of an experiment *before* any
 /// CHECK-guarded internal code runs: empty dataset (zero users — the
 /// aggregation layer has nothing to estimate from and would abort),
-/// degenerate domain, non-positive epsilon, zero trials, beta outside
-/// [0, 1), negative eta, and attack-specific target/attacker counts.
+/// degenerate domain, an epsilon ValidateEpsilon rejects, zero
+/// trials, beta outside [0, 1), negative eta, and attack-specific
+/// target/attacker counts.
 /// Drivers that accept arbitrary user input (`ldpr run`) surface
 /// the returned InvalidArgument as an error status instead of
 /// tripping an LDPR_CHECK abort.

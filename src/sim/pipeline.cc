@@ -69,12 +69,12 @@ std::unique_ptr<Attack> MakeAttack(const PipelineConfig& config, size_t d,
   return nullptr;
 }
 
-std::vector<double> ExactGenuineSupportCounts(
+std::vector<uint64_t> ExactGenuineSupportCounts(
     const FrequencyProtocol& protocol,
     const std::vector<uint64_t>& item_counts, Rng& rng) {
   // Perturbation draws stay in per-user order (unchanged RNG stream);
   // generation and accumulation run through the protocol's batched
-  // SoA path (byte-identical: integer sums regroup exactly).
+  // SoA path.
   return protocol.ExactSupportCounts(item_counts, rng);
 }
 
@@ -84,12 +84,12 @@ std::vector<double> ExactGenuineSupportCountsSharded(
   LDPR_CHECK(item_counts.size() == protocol.domain_size());
   uint64_t n = 0;
   for (uint64_t c : item_counts) n += c;
-  return ShardedSupportCounts(
+  return CountsToDoubles(ShardedSupportCounts(
       n, protocol.domain_size(), seed, shards,
       [&](uint64_t begin, uint64_t end, Rng& rng) {
         return ExactGenuineSupportCounts(
             protocol, RestrictItemCountsToUsers(item_counts, begin, end), rng);
-      });
+      }));
 }
 
 TrialOutput RunPoisoningTrial(const FrequencyProtocol& protocol,

@@ -100,15 +100,17 @@ TrialOutput RunPoisoningTrial(const FrequencyProtocol& protocol,
 
 /// Per-user exact genuine aggregation (the reference path the fast
 /// samplers are validated against).
-std::vector<double> ExactGenuineSupportCounts(
+std::vector<uint64_t> ExactGenuineSupportCounts(
     const FrequencyProtocol& protocol, const std::vector<uint64_t>& item_counts,
     Rng& rng);
 
 /// Sharded per-user exact aggregation: canonical user chunk c
 /// perturbs on Rng(DeriveSeed(seed, c)) and partial support counts
-/// merge in chunk order across `shards` pool workers (0 = auto).
-/// Byte-identical at every shard count; this is what lets a single
-/// million-user trial use the whole machine.
+/// are summed across `shards` pool workers (0 = auto).  Byte-identical
+/// at every shard count; this is what lets a single million-user
+/// trial use the whole machine.  Returned as doubles, like
+/// FrequencyProtocol::SampleSupportCountsSharded, for the trial's
+/// estimation step.
 std::vector<double> ExactGenuineSupportCountsSharded(
     const FrequencyProtocol& protocol, const std::vector<uint64_t>& item_counts,
     uint64_t seed, size_t shards);

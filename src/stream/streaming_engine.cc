@@ -14,11 +14,10 @@ namespace ldpr {
 namespace {
 
 // Cumulative engine totals at one pane boundary.  Window aggregates
-// are snapshot differences: support counts are integer-valued doubles
-// far below 2^53, so the subtraction is exact and per-window counts
-// sum back to the stream totals bit for bit.
+// are snapshot differences of integer counts, so per-window counts
+// sum back to the stream totals exactly.
 struct PaneSnapshot {
-  std::vector<double> counts;
+  std::vector<uint64_t> counts;
   std::vector<uint64_t> tally;
   size_t reports = 0;
   size_t attackers = 0;
@@ -43,7 +42,8 @@ WindowResult CloseWindow(const FrequencyProtocol& protocol,
     w.support_counts[v] = end.counts[v] - start.counts[v];
     w.genuine_tally[v] = end.tally[v] - start.tally[v];
   }
-  w.estimate = protocol.EstimateFrequencies(w.support_counts, w.report_count);
+  w.estimate = protocol.EstimateFrequencies(CountsToDoubles(w.support_counts),
+                                           w.report_count);
 
   const size_t genuine = w.report_count - w.attackers;
   if (genuine > 0) {
@@ -86,12 +86,12 @@ StreamSummary RunStream(const FrequencyProtocol& protocol,
   }
 
   StreamSummary summary;
-  std::vector<double> cum_counts(d, 0.0);
+  std::vector<uint64_t> cum_counts(d, 0);
   size_t cum_attackers = 0;
   size_t cum_suspicious = 0;
 
   std::deque<PaneSnapshot> snaps;
-  snaps.push_back(PaneSnapshot{std::vector<double>(d, 0.0),
+  snaps.push_back(PaneSnapshot{std::vector<uint64_t>(d, 0),
                                std::vector<uint64_t>(d, 0), 0, 0, 0});
   size_t last_emitted_end = 0;
 

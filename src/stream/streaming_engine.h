@@ -16,9 +16,7 @@
 //     totals (support counts, genuine item tally, attacker /
 //     suspicious counts).  A window closes once P panes beyond its
 //     start snapshot exist; its aggregate is the difference of two
-//     snapshots — exact, because support counts are integer sums
-//     (ldp/report_batch.h) and integer-valued doubles below 2^53
-//     subtract exactly.
+//     snapshots — exact, because support counts are integers.
 //   * Each closing window emits an incremental frequency estimate, an
 //     LDPRecover re-run on that estimate, the window's MSE against
 //     its own genuine ground truth, and a detection verdict
@@ -27,13 +25,13 @@
 // Memory bound: the engine never materializes a window.  Live state
 // is the flush buffer (<= kBatchFlushReports reports — the "flush
 // slack") plus P+1 boundary snapshots of O(d) each: O(d * W/S)
-// doubles total, independent of the stream length.  The stress test
+// counters total, independent of the stream length.  The stress test
 // (tests/streaming_stress_test.cc) asserts the buffered-report bound;
 // peak_buffered_reports in the summary is the witness.
 //
 // Determinism: the engine adds no randomness of its own — all draws
 // happen inside ArrivalStream, serially in arrival order — and every
-// aggregate is an exact integer sum, so StreamSummary is a pure
+// aggregate is an integer sum, so StreamSummary is a pure
 // function of (protocol, spec, options, seed), byte-identical at any
 // thread count and identical to the batch path on the same seed: a
 // single window spanning the whole stream reproduces
@@ -86,7 +84,7 @@ struct WindowResult {
   /// Same after the LDPRecover re-run (0 when run_recovery is off).
   double mse_recovered = 0.0;
   /// The window's raw support counts and estimated frequencies.
-  std::vector<double> support_counts;
+  std::vector<uint64_t> support_counts;
   std::vector<double> estimate;
   /// The window's genuine item tally (ground truth).
   std::vector<uint64_t> genuine_tally;
@@ -100,7 +98,7 @@ struct StreamSummary {
   /// Whole-stream support counts: every pane accumulated exactly
   /// once, in arrival order — byte-identical to the batch path on the
   /// same replayed reports.
-  std::vector<double> final_support_counts;
+  std::vector<uint64_t> final_support_counts;
   /// Whole-stream genuine item tally.
   std::vector<uint64_t> final_genuine_tally;
   /// Means over the emitted windows (0 when no window emitted).

@@ -120,7 +120,7 @@ void ClearSimdBackendForTest() {
 //
 // The accelerated paths accumulate nonzero indicators in 8-bit lanes
 // (32 columns per AVX2 add, 16 per SSE2/NEON) and widen into the
-// 32-bit accumulator every kByteLaneRows rows — before a lane can
+// 64-bit accumulator every kByteLaneRows rows — before a lane can
 // overflow.  min(row[v], 1) turns any nonzero byte into exactly 1,
 // matching the scalar `row[v] != 0` indicator bit for bit.
 
@@ -129,7 +129,7 @@ namespace {
 constexpr size_t kByteLaneRows = 255;
 
 void UnaryColumnsScalar(const uint8_t* rows, size_t n, size_t d,
-                        uint32_t* acc) {
+                        uint64_t* acc) {
   for (size_t i = 0; i < n; ++i) {
     const uint8_t* row = rows + i * d;
     for (size_t v = 0; v < d; ++v) acc[v] += (row[v] != 0);
@@ -139,7 +139,7 @@ void UnaryColumnsScalar(const uint8_t* rows, size_t n, size_t d,
 #if defined(LDPR_SIMD_X86)
 
 void UnaryColumnsSse2(const uint8_t* rows, size_t n, size_t d,
-                      uint32_t* acc) {
+                      uint64_t* acc) {
   std::vector<uint8_t> acc8(d);
   const __m128i one = _mm_set1_epi8(1);
   for (size_t base = 0; base < n; base += kByteLaneRows) {
@@ -164,7 +164,7 @@ void UnaryColumnsSse2(const uint8_t* rows, size_t n, size_t d,
 
 __attribute__((target("avx2"))) void UnaryColumnsAvx2(const uint8_t* rows,
                                                       size_t n, size_t d,
-                                                      uint32_t* acc) {
+                                                      uint64_t* acc) {
   std::vector<uint8_t> acc8(d);
   const __m256i one = _mm256_set1_epi8(1);
   for (size_t base = 0; base < n; base += kByteLaneRows) {
@@ -192,7 +192,7 @@ __attribute__((target("avx2"))) void UnaryColumnsAvx2(const uint8_t* rows,
 #if defined(LDPR_SIMD_NEON)
 
 void UnaryColumnsNeon(const uint8_t* rows, size_t n, size_t d,
-                      uint32_t* acc) {
+                      uint64_t* acc) {
   std::vector<uint8_t> acc8(d);
   const uint8x16_t one = vdupq_n_u8(1);
   for (size_t base = 0; base < n; base += kByteLaneRows) {
@@ -216,7 +216,7 @@ void UnaryColumnsNeon(const uint8_t* rows, size_t n, size_t d,
 #endif  // LDPR_SIMD_NEON
 
 void UnaryColumnsDispatch(const uint8_t* rows, size_t n, size_t d,
-                          uint32_t* acc) {
+                          uint64_t* acc) {
   switch (ActiveSimdBackend()) {
 #if defined(LDPR_SIMD_X86)
     case SimdBackend::kAvx2:
@@ -240,8 +240,7 @@ void UnaryColumnsDispatch(const uint8_t* rows, size_t n, size_t d,
 }  // namespace
 
 void SimdUnaryColumnsAddPacked(const uint8_t* rows, size_t n, size_t d,
-                               uint32_t* acc) {
-  LDPR_CHECK(n < (uint64_t{1} << 32));
+                               uint64_t* acc) {
   UnaryColumnsDispatch(rows, n, d, acc);
 }
 
@@ -257,7 +256,9 @@ void SimdUnaryColumnsAddPacked(const uint8_t* rows, size_t n, size_t d,
 
 void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
                            uint64_t* hist) {
-  if (ActiveSimdBackend() == SimdBackend::kScalar) {
+  // A sparse batch adds values directly: zeroing and merging the O(d)
+  // banks would dominate.
+  if (n < d / 4 || ActiveSimdBackend() == SimdBackend::kScalar) {
     for (size_t i = 0; i < n; ++i) {
       const uint32_t v = values[i];
       LDPR_CHECK(v < d);
@@ -312,7 +313,7 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 namespace {
 
 void OlhSupportScalar(const uint64_t* seeds, const uint32_t* values, size_t n,
-                      size_t d, uint32_t g, double* counts) {
+                      size_t d, uint32_t g, uint64_t* counts) {
   constexpr size_t kReportTile = 256;
   for (size_t i0 = 0; i0 < n; i0 += kReportTile) {
     const size_t i1 = std::min(n, i0 + kReportTile);
@@ -321,13 +322,13 @@ void OlhSupportScalar(const uint64_t* seeds, const uint32_t* values, size_t n,
       for (size_t i = i0; i < i1; ++i) {
         supported += (SeededHash(seeds[i], g)(v) == values[i]);
       }
-      if (supported != 0) counts[v] += static_cast<double>(supported);
+      counts[v] += supported;
     }
   }
 }
 
 void OlhSupportFast(const uint64_t* seeds, const uint32_t* values, size_t n,
-                    size_t d, uint32_t g, double* counts) {
+                    size_t d, uint32_t g, uint64_t* counts) {
   const FastMod mod(g);
   constexpr size_t kReportTile = 256;
   uint64_t seed_accs[kReportTile];
@@ -347,8 +348,7 @@ void OlhSupportFast(const uint64_t* seeds, const uint32_t* values, size_t n,
         s3 += (eval.Eval(i + 3) == tile_values[i + 3]);
       }
       for (; i < tn; ++i) s0 += (eval.Eval(i) == tile_values[i]);
-      const uint32_t supported = s0 + s1 + s2 + s3;
-      if (supported != 0) counts[v] += static_cast<double>(supported);
+      counts[v] += s0 + s1 + s2 + s3;
     }
   }
 }
@@ -356,7 +356,7 @@ void OlhSupportFast(const uint64_t* seeds, const uint32_t* values, size_t n,
 }  // namespace
 
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
-                       size_t n, size_t d, uint32_t g, double* counts) {
+                       size_t n, size_t d, uint32_t g, uint64_t* counts) {
   if (ActiveSimdBackend() == SimdBackend::kScalar) {
     OlhSupportScalar(seeds, values, n, d, g, counts);
   } else {

@@ -15,8 +15,8 @@
 // local hashing.  Dispatch is compile-time (only backends the target
 // architecture can express are compiled; see the LDPR_SIMD CMake
 // option) narrowed at runtime by cpuid, and every kernel is bit-exact
-// across backends: support counts are integer sums, so regrouped or
-// vectorized accumulation yields byte-identical doubles
+// across backends: every kernel adds into uint64_t support counters,
+// and integer addition regroups exactly
 // (tests/report_gen_batch_test.cc locks each kernel to its scalar
 // reference).
 //
@@ -63,12 +63,14 @@ void ClearSimdBackendForTest();
 
 /// Unary column sums, packed rows: for each column v < d, adds the
 /// number of rows whose byte row[v] is nonzero to acc[v].  `rows`
-/// holds n contiguous d-byte rows.  Requires n < 2^32 per call.
+/// holds n contiguous d-byte rows.
 void SimdUnaryColumnsAddPacked(const uint8_t* rows, size_t n, size_t d,
-                               uint32_t* acc);
+                               uint64_t* acc);
 
 /// GRR value histogram: adds the occurrence count of each value v to
-/// hist[v].  Checks every value against d.
+/// hist[v].  Checks every value against d.  A batch sparse against
+/// the domain (n < d/4) adds values directly; a dense one counts in
+/// interleaved banks and merges them once.
 void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
                            uint64_t* hist);
 
@@ -79,7 +81,7 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 /// hundred reports) so seeds/values stay L1-resident across the item
 /// sweep; any n works.
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
-                       size_t n, size_t d, uint32_t g, double* counts);
+                       size_t n, size_t d, uint32_t g, uint64_t* counts);
 
 }  // namespace ldpr
 

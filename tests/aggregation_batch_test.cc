@@ -42,8 +42,8 @@ ReportBatch MakeReports(const FrequencyProtocol& proto, size_t n,
 
 // GRR support is the reported value: the reference is a plain value
 // histogram.
-std::vector<double> GrrValueHistogram(const ReportBatch& reports, size_t d) {
-  std::vector<double> counts(d, 0.0);
+std::vector<uint64_t> GrrValueHistogram(const ReportBatch& reports, size_t d) {
+  std::vector<uint64_t> counts(d, 0);
   for (size_t i = 0; i < reports.size(); ++i) counts[reports.values()[i]] += 1;
   return counts;
 }
@@ -54,7 +54,7 @@ TEST(AggregationBatchTest, GrrDenseAndSparseRegimesAgree) {
   const auto grr = MakeProtocol(ProtocolKind::kGrr, 128, 0.5);
   for (size_t n : {size_t{20}, size_t{300}}) {
     const ReportBatch reports = MakeReports(*grr, n, 3);
-    std::vector<double> batched(grr->domain_size(), 0.0);
+    std::vector<uint64_t> batched(grr->domain_size(), 0);
     grr->AccumulateSupportsBatch(reports, batched);
     EXPECT_EQ(batched, GrrValueHistogram(reports, grr->domain_size())) << n;
   }
@@ -67,17 +67,17 @@ TEST(AggregationBatchTest, AggregatorRoutesMatchAtChunkBoundaries) {
   const auto proto = MakeProtocol(ProtocolKind::kGrr, 23, 1.0);
   for (size_t n : {chunk - 1, chunk, chunk + 1, 2 * chunk + 13}) {
     const ReportBatch reports = MakeReports(*proto, n, n);
-    const std::vector<double> reference = GrrValueHistogram(reports, 23);
+    const std::vector<uint64_t> reference = GrrValueHistogram(reports, 23);
 
     Aggregator unsharded(*proto);
     unsharded.AddAll(reports);
-    EXPECT_EQ(unsharded.support_counts(), reference) << "AddAll n=" << n;
+    EXPECT_EQ(unsharded.counts(), reference) << "AddAll n=" << n;
     EXPECT_EQ(unsharded.report_count(), n);
 
     for (size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
       Aggregator sharded(*proto);
       sharded.AddAllSharded(reports, shards);
-      EXPECT_EQ(sharded.support_counts(), reference)
+      EXPECT_EQ(sharded.counts(), reference)
           << "AddAllSharded n=" << n << " shards=" << shards;
       EXPECT_EQ(sharded.report_count(), n);
     }
@@ -95,7 +95,7 @@ TEST(AggregationBatchTest, ShardedMatchesUnshardedForSupportSetProtocols) {
     all.AddAll(reports);
     Aggregator sharded(*proto);
     sharded.AddAllSharded(reports, 3);
-    EXPECT_EQ(all.support_counts(), sharded.support_counts())
+    EXPECT_EQ(all.counts(), sharded.counts())
         << ProtocolKindName(kind);
   }
 }

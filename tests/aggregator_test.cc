@@ -43,9 +43,9 @@ TEST(AggregatorTest, CountsReportsAndSupports) {
   four.value = 4;
   agg.AddAll(std::vector<Report>{two, two, four});
   EXPECT_EQ(agg.report_count(), 3u);
-  EXPECT_DOUBLE_EQ(agg.support_counts()[2], 2.0);
-  EXPECT_DOUBLE_EQ(agg.support_counts()[4], 1.0);
-  EXPECT_DOUBLE_EQ(agg.support_counts()[0], 0.0);
+  EXPECT_EQ(agg.counts()[2], 2u);
+  EXPECT_EQ(agg.counts()[4], 1u);
+  EXPECT_EQ(agg.counts()[0], 0u);
 }
 
 TEST(AggregatorTest, AddAllAccumulatesAcrossBatches) {
@@ -60,17 +60,18 @@ TEST(AggregatorTest, AddAllAccumulatesAcrossBatches) {
   Aggregator halves(grr);
   halves.AddAll(reports.Slice(0, 37));
   halves.AddAll(reports.Slice(37, 100));
-  EXPECT_EQ(halves.support_counts(), whole.support_counts());
+  EXPECT_EQ(halves.counts(), whole.counts());
   EXPECT_EQ(halves.report_count(), 100u);
 }
 
 TEST(AggregatorTest, AddSampledCountsMerges) {
   const Oue oue(3, 0.5);
   Aggregator agg(oue);
-  agg.AddSampledCounts({10.0, 20.0, 30.0}, 50);
-  agg.AddSampledCounts({1.0, 2.0, 3.0}, 5);
+  agg.AddSampledCounts({10, 20, 30}, 50);
+  agg.AddSampledCounts({1, 2, 3}, 5);
   EXPECT_EQ(agg.report_count(), 55u);
-  EXPECT_DOUBLE_EQ(agg.support_counts()[1], 22.0);
+  EXPECT_EQ(agg.counts()[1], 22u);
+  EXPECT_EQ(agg.support_counts()[1], 22.0);
 }
 
 TEST(AggregatorTest, EstimateWithOverrideCount) {
@@ -108,7 +109,7 @@ TEST(AggregatorTest, EndToEndUnbiasedAcrossProtocols) {
 TEST(AggregatorDeathTest, SampledCountsSizeMustMatch) {
   const Grr grr(4, 1.0);
   Aggregator agg(grr);
-  EXPECT_DEATH(agg.AddSampledCounts({1.0, 2.0}, 3), "LDPR_CHECK");
+  EXPECT_DEATH(agg.AddSampledCounts({1, 2}, 3), "LDPR_CHECK");
 }
 
 }  // namespace

@@ -67,9 +67,9 @@ TEST(DetectionFilterTest, KeepsExactlyReportsBelowThreshold) {
     Report report;
     for (size_t i = 0; i < reports.size(); ++i) {
       reports.ExtractReport(i, report);
-      const std::vector<double> support = SupportVector(*proto, report);
+      const std::vector<uint64_t> support = SupportVector(*proto, report);
       size_t supported = 0;
-      for (ItemId t : targets) supported += support[t] != 0.0;
+      for (ItemId t : targets) supported += support[t] != 0;
       if (supported < filter.threshold()) survivors.push_back(report);
     }
     EXPECT_EQ(filter.offered(), reports.size()) << ProtocolKindName(kind);

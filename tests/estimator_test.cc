@@ -46,9 +46,9 @@ TEST(MaliciousMomentsTest, EmpiricalAgreement) {
       builder.AddValue(static_cast<uint32_t>(
           rng.Bernoulli(s) ? 0 : 1 + rng.UniformU64(d - 1)));
     }
-    std::vector<double> counts(d, 0.0);
+    std::vector<uint64_t> counts(d, 0);
     grr.AccumulateSupportsBatch(crafted, counts);
-    stat.Add(grr.EstimateFrequencies(counts, m)[0]);
+    stat.Add(grr.EstimateFrequencies(CountsToDoubles(counts), m)[0]);
   }
   const Moments mo = MaliciousFrequencyMoments(grr, s, m);
   EXPECT_NEAR(stat.mean(), mo.mean, 0.01);

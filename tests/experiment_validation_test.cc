@@ -1,11 +1,17 @@
-// ValidateExperimentInputs: the status-based guard that keeps bad CLI
-// knobs (empty datasets, zero trials, out-of-range epsilon/beta/eta,
-// degenerate target counts) from reaching LDPR_CHECK aborts in the
-// aggregation and attack layers.
+// ValidateExperimentInputs and ValidateEpsilon: the status-based
+// guards that keep bad CLI knobs (empty datasets, zero trials,
+// out-of-range epsilon/beta/eta, degenerate target counts) from
+// reaching LDPR_CHECK aborts in the aggregation and attack layers.
+
+#include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "ldp/factory.h"
+#include "shard/shard_task.h"
 #include "sim/experiment.h"
 
 namespace ldpr {
@@ -66,6 +72,51 @@ TEST(ValidateExperimentInputsTest, RejectsBadScalarKnobs) {
   config = OkConfig();
   config.eta = -1.0;
   EXPECT_FALSE(ValidateExperimentInputs(config, ds).ok());
+}
+
+TEST(ValidateExperimentInputsTest, RejectsEpsilonsProtocolsCannotTake) {
+  // Each of these aborted or hung inside protocol construction or
+  // sampling before epsilon was checked against the protocol.
+  const Dataset ds = OkDataset();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    ProtocolKind protocol;
+    double epsilon;
+  } bad[] = {{ProtocolKind::kGrr, inf},
+             {ProtocolKind::kOue, inf},
+             {ProtocolKind::kGrr, -1.0},
+             {ProtocolKind::kOlh, std::nan("")},
+             {ProtocolKind::kGrr, 800.0},  // e^epsilon overflows
+             {ProtocolKind::kOlh, 22.2},   // g = ceil(e^eps + 1) > 2^32 - 1
+             {ProtocolKind::kSue, 80.0}};  // keep probability rounds to 1
+  for (const auto& c : bad) {
+    auto config = OkConfig();
+    config.protocol = c.protocol;
+    config.epsilon = c.epsilon;
+    const Status status = ValidateExperimentInputs(config, ds);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << ProtocolKindName(c.protocol) << " eps=" << c.epsilon;
+    EXPECT_NE(status.message().find("epsilon"), std::string::npos);
+    EXPECT_EQ(ValidateEpsilon(c.protocol, c.epsilon).code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The edges that still build a protocol.
+  EXPECT_TRUE(ValidateEpsilon(ProtocolKind::kOlh, 22.1).ok());
+  EXPECT_TRUE(ValidateEpsilon(ProtocolKind::kBlh, 22.2).ok());
+  EXPECT_TRUE(ValidateEpsilon(ProtocolKind::kSue, 60.0).ok());
+  EXPECT_TRUE(ValidateEpsilon(ProtocolKind::kGrr, 700.0).ok());
+  EXPECT_NE(MakeProtocol(ProtocolKind::kSue, 4, 60.0), nullptr);
+}
+
+TEST(ValidateExperimentInputsTest, ShardPlanChecksEpsilon) {
+  // The shard entry point takes epsilon from flags or the wire.
+  ShardTaskSpec spec;
+  spec.protocol = ProtocolKind::kOue;
+  spec.epsilon = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(BuildShardTaskPlan(spec, OkDataset()).status().code(),
+            StatusCode::kInvalidArgument);
+  spec.epsilon = 0.5;
+  EXPECT_TRUE(BuildShardTaskPlan(spec, OkDataset()).ok());
 }
 
 TEST(ValidateExperimentInputsTest, RejectsBadAttackShapes) {

@@ -58,12 +58,12 @@ TEST(GrrTest, SupportIsExactlyTheReportedItem) {
 
 TEST(GrrTest, AccumulateSupportsBatchAddsOneCountPerReport) {
   const Grr grr(3, 1.0);
-  std::vector<double> counts(3, 0.0);
+  std::vector<uint64_t> counts(3, 0);
   Report r;
   r.value = 2;
   grr.AccumulateSupportsBatch(std::vector<Report>{r, r}, counts);
-  EXPECT_DOUBLE_EQ(counts[2], 2.0);
-  EXPECT_DOUBLE_EQ(counts[0], 0.0);
+  EXPECT_EQ(counts[2], 2u);
+  EXPECT_EQ(counts[0], 0u);
 }
 
 TEST(GrrTest, EstimationIsUnbiased) {
@@ -75,7 +75,7 @@ TEST(GrrTest, EstimationIsUnbiased) {
   item_counts[0] = 40000;
   item_counts[5] = 60000;
   const auto counts = grr.SampleSupportCounts(item_counts, rng);
-  const auto freqs = grr.EstimateFrequencies(counts, 100000);
+  const auto freqs = grr.EstimateFrequencies(CountsToDoubles(counts), 100000);
   EXPECT_NEAR(freqs[0], 0.4, 0.02);
   EXPECT_NEAR(freqs[5], 0.6, 0.02);
   for (ItemId v : {1u, 2u, 3u, 4u, 6u, 7u}) EXPECT_NEAR(freqs[v], 0.0, 0.02);
@@ -86,10 +86,10 @@ TEST(GrrTest, SampledCountsConserveUsers) {
   Rng rng(5);
   const std::vector<uint64_t> item_counts = {100, 0, 250, 3, 47};
   const auto counts = grr.SampleSupportCounts(item_counts, rng);
-  double total = 0.0;
-  for (double c : counts) total += c;
+  uint64_t total = 0;
+  for (uint64_t c : counts) total += c;
   // GRR reports support exactly one item each.
-  EXPECT_DOUBLE_EQ(total, 400.0);
+  EXPECT_EQ(total, 400u);
 }
 
 TEST(GrrTest, CountVarianceMatchesEq4) {
@@ -116,7 +116,7 @@ TEST(GrrTest, EmpiricalVarianceMatchesTheory) {
   RunningStat est;
   for (int trial = 0; trial < 300; ++trial) {
     const auto counts = grr.SampleSupportCounts(item_counts, rng);
-    est.Add(grr.EstimateFrequencies(counts, n)[3]);
+    est.Add(grr.EstimateFrequencies(CountsToDoubles(counts), n)[3]);
   }
   EXPECT_NEAR(est.mean(), 0.5, 0.01);
   const double theory = grr.FrequencyVariance(0.5, n);
@@ -127,8 +127,8 @@ TEST(GrrTest, CraftedReportIsDeterministicSupport) {
   const Grr grr(7, 0.5);
   Rng rng(7);
   for (ItemId v = 0; v < 7; ++v) {
-    std::vector<double> only_v(7, 0.0);
-    only_v[v] = 1.0;
+    std::vector<uint64_t> only_v(7, 0);
+    only_v[v] = 1;
     EXPECT_EQ(SupportVector(grr, CraftedReport(grr, v, rng)), only_v);
   }
 }

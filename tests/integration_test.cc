@@ -125,7 +125,8 @@ TEST(IntegrationTest, OutlierDetectorSuppliesStarKnowledge) {
   std::vector<std::vector<double>> history;
   for (int epoch = 0; epoch < 6; ++epoch) {
     const auto counts = proto->SampleSupportCounts(ds.item_counts, rng);
-    history.push_back(proto->EstimateFrequencies(counts, ds.num_users()));
+    history.push_back(
+        proto->EstimateFrequencies(CountsToDoubles(counts), ds.num_users()));
   }
 
   PipelineConfig pconfig;

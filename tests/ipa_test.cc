@@ -60,9 +60,9 @@ TEST(IpaTest, WeakerThanGeneralMga) {
 
   auto run = [&](const Attack& attack) {
     auto counts = grr.SampleSupportCounts(item_counts, rng);
-    const auto genuine = grr.EstimateFrequencies(counts, n);
+    const auto genuine = grr.EstimateFrequencies(CountsToDoubles(counts), n);
     grr.AccumulateSupportsBatch(attack.Craft(grr, m, rng), counts);
-    const auto poisoned = grr.EstimateFrequencies(counts, n + m);
+    const auto poisoned = grr.EstimateFrequencies(CountsToDoubles(counts), n + m);
     return FrequencyGain(genuine, poisoned, targets);
   };
 

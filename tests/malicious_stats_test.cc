@@ -71,9 +71,9 @@ TEST_P(MaliciousSumEmpiricalTest, MatchesCraftedReports) {
     const ItemId v = static_cast<ItemId>(rng.UniformU64(d));
     proto->AppendCraftedReport(v, rng, builder);
   }
-  std::vector<double> counts(d, 0.0);
+  std::vector<uint64_t> counts(d, 0);
   proto->AccumulateSupportsBatch(crafted, counts);
-  const double empirical = Sum(proto->EstimateFrequencies(counts, m));
+  const double empirical = Sum(proto->EstimateFrequencies(CountsToDoubles(counts), m));
   EXPECT_NEAR(empirical, CraftedMaliciousFrequencySum(*proto), 0.05);
 }
 
@@ -124,9 +124,9 @@ TEST(MaliciousStatsTest, ZeroMassSubdomainMatchesEmpirically) {
   ReportBatch::Builder builder(crafted);
   for (size_t i = 0; i < m; ++i)
     builder.AddValue(static_cast<uint32_t>(rng.UniformU64(10)));  // 0..9
-  std::vector<double> counts(d, 0.0);
+  std::vector<uint64_t> counts(d, 0);
   grr.AccumulateSupportsBatch(crafted, counts);
-  const auto freqs = grr.EstimateFrequencies(counts, m);
+  const auto freqs = grr.EstimateFrequencies(CountsToDoubles(counts), m);
   double non_target_sum = 0.0;
   for (size_t v = 10; v < d; ++v) non_target_sum += freqs[v];
   EXPECT_NEAR(non_target_sum, ZeroMassSubdomainSum(grr, d - 10, false), 0.02);

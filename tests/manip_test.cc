@@ -85,12 +85,12 @@ TEST(ManipTest, DistortsAggregatedDistribution) {
   std::vector<uint64_t> item_counts(d, n / d);
 
   const auto genuine_counts = grr.SampleSupportCounts(item_counts, rng);
-  const auto genuine = grr.EstimateFrequencies(genuine_counts, n);
+  const auto genuine = grr.EstimateFrequencies(CountsToDoubles(genuine_counts), n);
 
   const ManipAttack attack;
   auto poisoned_counts = genuine_counts;
   grr.AccumulateSupportsBatch(attack.Craft(grr, m, rng), poisoned_counts);
-  const auto poisoned = grr.EstimateFrequencies(poisoned_counts, n + m);
+  const auto poisoned = grr.EstimateFrequencies(CountsToDoubles(poisoned_counts), n + m);
 
   std::vector<double> truth(d, 1.0 / d);
   EXPECT_GT(L1Distance(truth, poisoned), 2.0 * L1Distance(truth, genuine));

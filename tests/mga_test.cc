@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -110,14 +112,93 @@ TEST(MgaTest, InflatesTargetFrequencies) {
   const MgaAttack attack(targets);
 
   auto counts = oue.SampleSupportCounts(item_counts, rng);
-  const auto genuine = oue.EstimateFrequencies(counts, n);
+  const auto genuine = oue.EstimateFrequencies(CountsToDoubles(counts), n);
   oue.AccumulateSupportsBatch(attack.Craft(oue, m, rng), counts);
-  const auto poisoned = oue.EstimateFrequencies(counts, n + m);
+  const auto poisoned = oue.EstimateFrequencies(CountsToDoubles(counts), n + m);
 
   const double fg = FrequencyGain(genuine, poisoned, targets);
   // Each fake OUE user contributes gain ~1/((p-q)(n+m)) per target;
   // with m=2000 the total gain is substantial.
   EXPECT_GT(fg, 0.05);
+}
+
+// The OLH bucket choice as MGA made it with a g-sized hit array per
+// seed try: histogram the targets' buckets, take the first maximum
+// (the smallest bucket on ties).  Kept as the reference the
+// target-only selection must reproduce report for report.
+ReportBatch CraftOlhWithBucketArray(const Olh& olh,
+                                    const std::vector<ItemId>& targets,
+                                    size_t m, size_t seed_tries, Rng& rng) {
+  ReportBatch batch;
+  ReportBatch::Builder builder(batch);
+  std::vector<uint32_t> bucket_hits(olh.g());
+  for (size_t i = 0; i < m; ++i) {
+    uint64_t best_seed = 0;
+    uint32_t best_value = 0;
+    size_t best_hits = 0;
+    for (size_t attempt = 0; attempt < seed_tries; ++attempt) {
+      const uint64_t seed = rng.Next();
+      std::fill(bucket_hits.begin(), bucket_hits.end(), 0u);
+      for (ItemId t : targets) ++bucket_hits[olh.Hash(seed, t)];
+      const auto it = std::max_element(bucket_hits.begin(), bucket_hits.end());
+      if (*it > best_hits) {
+        best_hits = *it;
+        best_seed = seed;
+        best_value = static_cast<uint32_t>(it - bucket_hits.begin());
+        if (best_hits == targets.size()) break;
+      }
+    }
+    builder.AddSeedValue(best_seed, best_value);
+  }
+  return batch;
+}
+
+TEST(MgaTest, OlhBucketChoiceMatchesBucketArrayReference) {
+  // g = 3, 8, 56: ties between buckets are common, so the tie rule
+  // is exercised along with the maximum.
+  for (double epsilon : {0.5, 2.0, 4.0}) {
+    const Olh olh(200, epsilon);
+    Rng target_rng(12);
+    const auto targets = MgaAttack::SampleTargets(200, 10, target_rng);
+    const MgaAttack attack(targets);
+    const size_t m = 500;
+    Rng rng(13), reference_rng(13);
+    ReportBatch crafted;
+    ReportBatch::Builder builder(crafted);
+    attack.CraftBatch(olh, m, rng, builder);
+    const ReportBatch reference = CraftOlhWithBucketArray(
+        olh, targets, m, MgaOptions().olh_seed_tries, reference_rng);
+    ASSERT_EQ(crafted.size(), m);
+    for (size_t i = 0; i < m; ++i) {
+      EXPECT_EQ(crafted.seeds()[i], reference.seeds()[i])
+          << "eps=" << epsilon << " report " << i;
+      EXPECT_EQ(crafted.values()[i], reference.values()[i])
+          << "eps=" << epsilon << " report " << i;
+    }
+    EXPECT_EQ(rng.Next(), reference_rng.Next()) << "eps=" << epsilon;
+  }
+}
+
+TEST(MgaTest, OlhAtLargeEpsilonCostsNothingPerBucket) {
+  // eps = 20 gives g = 485,165,197: a per-try hit array over all g
+  // buckets would be ~1.9 GB.  Selection over the r targets only
+  // makes this as cheap as any other epsilon.
+  const Olh olh(64, 20.0);
+  ASSERT_GT(olh.g(), 400000000u);
+  Rng rng(14);
+  const auto targets = MgaAttack::SampleTargets(64, 10, rng);
+  const MgaAttack attack(targets);
+  const size_t m = 1000;
+  ReportBatch crafted;
+  ReportBatch::Builder builder(crafted);
+  attack.CraftBatch(olh, m, rng, builder);
+  ASSERT_EQ(crafted.size(), m);
+  for (size_t i = 0; i < m; ++i) {
+    size_t supported = 0;
+    for (ItemId t : targets)
+      supported += olh.Hash(crafted.seeds()[i], t) == crafted.values()[i];
+    EXPECT_GE(supported, 1u) << i;
+  }
 }
 
 TEST(MgaDeathTest, RejectsEmptyTargets) {

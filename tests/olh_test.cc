@@ -47,7 +47,7 @@ TEST(OlhTest, SupportsOwnItemWithP) {
   Rng rng(2);
   const int kTrials = 40000;
   const auto counts = GenuineSupportCounts(olh, 9, kTrials, rng);
-  EXPECT_NEAR(counts[9] / kTrials, olh.p(), 0.01);
+  EXPECT_NEAR(static_cast<double>(counts[9]) / kTrials, olh.p(), 0.01);
 }
 
 TEST(OlhTest, SupportsOtherItemWithQ) {
@@ -55,7 +55,7 @@ TEST(OlhTest, SupportsOtherItemWithQ) {
   Rng rng(3);
   const int kTrials = 40000;
   const auto counts = GenuineSupportCounts(olh, 9, kTrials, rng);
-  EXPECT_NEAR(counts[31] / kTrials, olh.q(), 0.01);
+  EXPECT_NEAR(static_cast<double>(counts[31]) / kTrials, olh.q(), 0.01);
 }
 
 TEST(OlhTest, AccumulateSupportsBatchMatchesHashPredicate) {
@@ -64,9 +64,9 @@ TEST(OlhTest, AccumulateSupportsBatchMatchesHashPredicate) {
   const Olh olh(30, 0.5);
   Rng rng(4);
   const Report r = olh.Perturb(5, rng);
-  const std::vector<double> counts = SupportVector(olh, r);
+  const std::vector<uint64_t> counts = SupportVector(olh, r);
   for (ItemId v = 0; v < 30; ++v)
-    EXPECT_DOUBLE_EQ(counts[v], olh.Hash(r.seed, v) == r.value ? 1.0 : 0.0);
+    EXPECT_EQ(counts[v], olh.Hash(r.seed, v) == r.value ? 1u : 0u);
 }
 
 TEST(OlhTest, EstimationIsUnbiasedExactPath) {
@@ -79,8 +79,8 @@ TEST(OlhTest, EstimationIsUnbiasedExactPath) {
   std::vector<uint64_t> item_counts(d, 0);
   item_counts[2] = n / 3;
   item_counts[8] = 2 * n / 3;
-  const std::vector<double> counts = olh.ExactSupportCounts(item_counts, rng);
-  const auto freqs = olh.EstimateFrequencies(counts, n);
+  const std::vector<uint64_t> counts = olh.ExactSupportCounts(item_counts, rng);
+  const auto freqs = olh.EstimateFrequencies(CountsToDoubles(counts), n);
   EXPECT_NEAR(freqs[2], 1.0 / 3.0, 0.03);
   EXPECT_NEAR(freqs[8], 2.0 / 3.0, 0.03);
 }
@@ -93,7 +93,7 @@ TEST(OlhTest, EstimationIsUnbiasedFastPath) {
   item_counts[2] = 40000;
   item_counts[8] = 80000;
   const auto counts = olh.SampleSupportCounts(item_counts, rng);
-  const auto freqs = olh.EstimateFrequencies(counts, 120000);
+  const auto freqs = olh.EstimateFrequencies(CountsToDoubles(counts), 120000);
   EXPECT_NEAR(freqs[2], 1.0 / 3.0, 0.02);
   EXPECT_NEAR(freqs[8], 2.0 / 3.0, 0.02);
 }
@@ -117,10 +117,10 @@ TEST(OlhTest, CraftedReportSupportsOthersAtRateQ) {
   ReportBatch batch;
   ReportBatch::Builder builder(batch);
   for (int i = 0; i < kTrials; ++i) olh.AppendCraftedReport(3, rng, builder);
-  std::vector<double> counts(64, 0.0);
+  std::vector<uint64_t> counts(64, 0);
   olh.AccumulateSupportsBatch(batch, counts);
-  EXPECT_DOUBLE_EQ(counts[3], kTrials);
-  EXPECT_NEAR(counts[40] / kTrials, olh.q(), 0.015);
+  EXPECT_EQ(counts[3], static_cast<uint64_t>(kTrials));
+  EXPECT_NEAR(static_cast<double>(counts[40]) / kTrials, olh.q(), 0.015);
 }
 
 TEST(OlhTest, HashIsDeterministicPerSeed) {

@@ -45,7 +45,7 @@ TEST(OueTest, SupportsReadsBits) {
   const Oue oue(4, 1.0);
   Report r;
   r.bits = {1, 0, 1, 0};
-  EXPECT_EQ(SupportVector(oue, r), (std::vector<double>{1, 0, 1, 0}));
+  EXPECT_EQ(SupportVector(oue, r), (std::vector<uint64_t>{1, 0, 1, 0}));
 }
 
 TEST(OueTest, EstimationIsUnbiased) {
@@ -56,7 +56,7 @@ TEST(OueTest, EstimationIsUnbiased) {
   item_counts[1] = 30000;
   item_counts[4] = 70000;
   const auto counts = oue.SampleSupportCounts(item_counts, rng);
-  const auto freqs = oue.EstimateFrequencies(counts, 100000);
+  const auto freqs = oue.EstimateFrequencies(CountsToDoubles(counts), 100000);
   EXPECT_NEAR(freqs[1], 0.3, 0.02);
   EXPECT_NEAR(freqs[4], 0.7, 0.02);
   EXPECT_NEAR(freqs[0], 0.0, 0.02);
@@ -80,7 +80,7 @@ TEST(OueTest, EmpiricalVarianceMatchesEq7) {
   RunningStat est;
   for (int trial = 0; trial < 400; ++trial) {
     const auto counts = oue.SampleSupportCounts(item_counts, rng);
-    est.Add(oue.EstimateFrequencies(counts, n)[0]);
+    est.Add(oue.EstimateFrequencies(CountsToDoubles(counts), n)[0]);
   }
   const double theory = oue.FrequencyVariance(1.0 / d, n);
   EXPECT_NEAR(est.variance(), theory, 0.3 * theory);

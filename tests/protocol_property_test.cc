@@ -54,9 +54,10 @@ TEST_P(ProtocolPropertyTest, PerturbSupportsOwnItemAtRateP) {
   Rng rng(101);
   const ItemId item = static_cast<ItemId>(GetParam().d / 2);
   const int kTrials = 20000;
-  const std::vector<double> counts =
+  const std::vector<uint64_t> counts =
       GenuineSupportCounts(*protocol_, item, kTrials, rng);
-  EXPECT_NEAR(counts[item] / kTrials, protocol_->p(), 0.015);
+  EXPECT_NEAR(static_cast<double>(counts[item]) / kTrials, protocol_->p(),
+              0.015);
 }
 
 TEST_P(ProtocolPropertyTest, PerturbSupportsOtherItemAtRateQ) {
@@ -64,9 +65,10 @@ TEST_P(ProtocolPropertyTest, PerturbSupportsOtherItemAtRateQ) {
   const ItemId item = 0;
   const ItemId other = static_cast<ItemId>(GetParam().d - 1);
   const int kTrials = 20000;
-  const std::vector<double> counts =
+  const std::vector<uint64_t> counts =
       GenuineSupportCounts(*protocol_, item, kTrials, rng);
-  EXPECT_NEAR(counts[other] / kTrials, protocol_->q(), 0.015);
+  EXPECT_NEAR(static_cast<double>(counts[other]) / kTrials, protocol_->q(),
+              0.015);
 }
 
 TEST_P(ProtocolPropertyTest, EstimatedFrequenciesSumNearOne) {
@@ -78,7 +80,7 @@ TEST_P(ProtocolPropertyTest, EstimatedFrequenciesSumNearOne) {
   std::vector<uint64_t> item_counts(d, n / d);
   item_counts[0] += n - (n / d) * d;
   const auto counts = protocol_->SampleSupportCounts(item_counts, rng);
-  const auto freqs = protocol_->EstimateFrequencies(counts, n);
+  const auto freqs = protocol_->EstimateFrequencies(CountsToDoubles(counts), n);
   // Tolerance: ~6 standard deviations of the sum (per-item variances
   // add; cross-item correlation only tightens GRR's sum).
   const double sum_sd = std::sqrt(static_cast<double>(d) *
@@ -100,7 +102,7 @@ TEST_P(ProtocolPropertyTest, EstimatorIsUnbiasedOnSkewedData) {
   RunningStat est;
   for (int trial = 0; trial < 40; ++trial) {
     const auto counts = protocol_->SampleSupportCounts(item_counts, rng);
-    est.Add(protocol_->EstimateFrequencies(counts, n)[1]);
+    est.Add(protocol_->EstimateFrequencies(CountsToDoubles(counts), n)[1]);
   }
   const double truth = static_cast<double>(item_counts[1]) / n;
   EXPECT_NEAR(est.mean(), truth, 5.0 * std::sqrt(est.variance() / 40.0) + 0.01);

@@ -51,7 +51,7 @@ TEST(ReportGenBatchTest, ExactSupportCountsMatchesOneBatch) {
     ReportBatch batch;
     ReportBatch::Builder builder(batch);
     proto->SampleReportsBatch(item_counts, batch_rng, builder);
-    std::vector<double> reference(proto->domain_size(), 0.0);
+    std::vector<uint64_t> reference(proto->domain_size(), 0);
     proto->AccumulateSupportsBatch(batch, reference);
 
     EXPECT_EQ(proto->ExactSupportCounts(item_counts, flush_rng), reference)
@@ -80,7 +80,7 @@ TEST(ReportGenBatchTest, BuilderBatchesAgreeAcrossShardChunkBoundaries) {
       for (size_t shards : {size_t{1}, size_t{3}}) {
         Aggregator sharded(*proto);
         sharded.AddAllSharded(batch, shards);
-        EXPECT_EQ(sharded.support_counts(), unsharded.support_counts())
+        EXPECT_EQ(sharded.counts(), unsharded.counts())
             << ProtocolKindName(kind) << " m=" << m << " shards=" << shards;
         EXPECT_EQ(sharded.report_count(), m);
       }
@@ -118,14 +118,14 @@ TEST(SimdKernelTest, UnaryColumnsMatchScalarAcrossBackends) {
       std::vector<uint8_t> rows(n * d);
       for (uint8_t& b : rows) b = rng.Bernoulli(0.3) ? 1 : 0;
 
-      std::vector<uint32_t> reference(d, 5);  // nonzero carry-in
+      std::vector<uint64_t> reference(d, 5);  // nonzero carry-in
       {
         ScopedBackend scalar(SimdBackend::kScalar);
         SimdUnaryColumnsAddPacked(rows.data(), n, d, reference.data());
       }
       for (SimdBackend backend : TestableBackends()) {
         ScopedBackend scoped(backend);
-        std::vector<uint32_t> packed(d, 5);
+        std::vector<uint64_t> packed(d, 5);
         SimdUnaryColumnsAddPacked(rows.data(), n, d, packed.data());
         EXPECT_EQ(packed, reference)
             << SimdBackendName(backend) << " n=" << n << " d=" << d;
@@ -167,7 +167,7 @@ TEST(SimdKernelTest, OlhSupportMatchesScalarAcrossBackends) {
         seeds[i] = rng.Next();
         values[i] = static_cast<uint32_t>(rng.UniformU64(g));
       }
-      std::vector<double> reference(d, 1.0);  // nonzero carry-in
+      std::vector<uint64_t> reference(d, 1);  // nonzero carry-in
       {
         ScopedBackend scalar(SimdBackend::kScalar);
         SimdOlhSupportAdd(seeds.data(), values.data(), n, d, g,
@@ -175,7 +175,7 @@ TEST(SimdKernelTest, OlhSupportMatchesScalarAcrossBackends) {
       }
       for (SimdBackend backend : TestableBackends()) {
         ScopedBackend scoped(backend);
-        std::vector<double> counts(d, 1.0);
+        std::vector<uint64_t> counts(d, 1);
         SimdOlhSupportAdd(seeds.data(), values.data(), n, d, g, counts.data());
         EXPECT_EQ(counts, reference)
             << SimdBackendName(backend) << " g=" << g << " n=" << n;

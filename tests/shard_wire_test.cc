@@ -6,6 +6,7 @@
 // refuse to decode.
 
 #include <cstddef>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "shard/wire.h"
+#include "util/xxhash.h"
 
 namespace ldpr {
 namespace {
@@ -37,7 +39,7 @@ PartialRecord MakeRecord() {
   record.chunk_end = 5;
   record.unit_begin = 128;
   record.unit_end = 320;
-  record.counts = {0.0, 3.0, 17.0, 192.0};
+  record.counts = {0, 3, 17, 192};
   return record;
 }
 
@@ -45,13 +47,13 @@ PartialRecord MakeRecord() {
 // contract: if this test fails, the change is a wire-format break and
 // kShardWireVersion must be bumped.
 constexpr char kGoldenLine[] =
-    "{\"payload\":{\"version\":1,\"spec\":{\"protocol\":\"OUE\","
+    "{\"payload\":{\"version\":2,\"spec\":{\"protocol\":\"OUE\","
     "\"epsilon\":0.5,\"dataset\":\"zipf\",\"d\":16,\"n\":1000,\"scale\":1,"
     "\"attack\":\"MGA\",\"beta\":0.05,\"targets\":10,\"eta\":0.2,"
     "\"seed\":\"deadbeefcafebabe\",\"users_per_chunk\":64,"
     "\"reports_per_chunk\":8},\"source\":\"genuine\",\"chunk_begin\":2,"
     "\"chunk_end\":5,\"unit_begin\":128,\"unit_end\":320,"
-    "\"counts\":[0,3,17,192]},\"crc64\":\"fd7f66ef91f03843\"}\n";
+    "\"counts\":[0,3,17,192]},\"crc64\":\"538e6125d907d979\"}\n";
 
 TEST(ShardWireTest, GoldenBytes) {
   EXPECT_EQ(EncodePartialLine(MakeRecord()), kGoldenLine);
@@ -102,17 +104,49 @@ TEST(ShardWireTest, EveryPayloadBitFlipIsRejected) {
   }
 }
 
+// The golden line with `from` replaced by `to` in its payload,
+// re-framed under a *valid* checksum, so only the payload checks can
+// reject it.
+std::string EditedGoldenLine(const std::string& from, const std::string& to) {
+  const std::string golden = kGoldenLine;
+  const size_t begin = std::string("{\"payload\":").size();
+  std::string payload =
+      golden.substr(begin, golden.rfind(",\"crc64\":") - begin);
+  const size_t at = payload.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) payload.replace(at, from.size(), to);
+  char crc[17];
+  std::snprintf(crc, sizeof(crc), "%016llx",
+                static_cast<unsigned long long>(XxHash64(
+                    payload.data(), payload.size(), kShardChecksumSeed)));
+  return "{\"payload\":" + payload + ",\"crc64\":\"" + crc + "\"}\n";
+}
+
+TEST(ShardWireTest, ReframedGoldenLineDecodes) {
+  EXPECT_EQ(EditedGoldenLine("", ""), kGoldenLine);
+  EXPECT_TRUE(DecodePartialLine(EditedGoldenLine("[0,3,", "[1,3,")).ok());
+}
+
 TEST(ShardWireTest, WrongVersionIsRejected) {
-  // Re-frame a version-bumped payload with a *valid* checksum: the
-  // version check itself must reject it, not the CRC.
-  std::string line = EncodePartialLine(MakeRecord());
-  const std::string old_payload = "{\"version\":1,";
-  const std::string new_payload = "{\"version\":2,";
-  const size_t at = line.find(old_payload);
-  ASSERT_NE(at, std::string::npos);
-  line.replace(at, old_payload.size(), new_payload);
-  const auto decoded = DecodePartialLine(line);
-  EXPECT_FALSE(decoded.ok());
+  for (const char* version : {"{\"version\":1,", "{\"version\":3,"}) {
+    const auto decoded =
+        DecodePartialLine(EditedGoldenLine("{\"version\":2,", version));
+    ASSERT_FALSE(decoded.ok()) << version;
+    EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
+        << decoded.status().ToString();
+  }
+}
+
+TEST(ShardWireTest, NonIntegerCountsAreRejected) {
+  // Support counts are non-negative integers; version 1 took any
+  // number here.
+  for (const char* count : {"-1", "0.5", "1e300"}) {
+    const auto decoded = DecodePartialLine(
+        EditedGoldenLine("[0,3,17,", std::string("[0,3,") + count + ","));
+    ASSERT_FALSE(decoded.ok()) << count;
+    EXPECT_NE(decoded.status().message().find("counts"), std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 TEST(ShardWireTest, GarbageIsRejected) {
@@ -137,7 +171,7 @@ TEST(ShardWireTest, FileRoundTrip) {
   second.chunk_end = 1;
   second.unit_begin = 0;
   second.unit_end = 8;
-  second.counts = {1.0, 0.0, 5.0, 2.0};
+  second.counts = {1, 0, 5, 2};
   const std::vector<PartialRecord> records = {MakeRecord(), second};
 
   ASSERT_TRUE(WritePartialFile(path, records).ok());

@@ -67,24 +67,6 @@ TEST(ShardedAggregationTest, MillionUserSampleIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardedAggregationTest, RangeSamplersMatchRestrictedHistogram) {
-  // The OLH/unary SampleSupportCountsRange overrides must draw
-  // exactly what the default restrict-then-sample path draws.
-  const Dataset dataset = MakeZipfDataset("z", /*d=*/32, /*n=*/150000,
-                                          /*s=*/1.1, /*shuffle_seed=*/3);
-  const uint64_t begin = 70000, end = 120000;
-  for (ProtocolKind kind : kExtendedProtocolKinds) {
-    const auto protocol = MakeProtocol(kind, dataset.domain_size(), 0.5);
-    Rng rng_range(123), rng_default(123);
-    const auto via_override = protocol->SampleSupportCountsRange(
-        dataset.item_counts, begin, end, rng_range);
-    const auto via_restrict = protocol->SampleSupportCounts(
-        RestrictItemCountsToUsers(dataset.item_counts, begin, end),
-        rng_default);
-    EXPECT_EQ(via_override, via_restrict) << ProtocolKindName(kind);
-  }
-}
-
 TEST(ShardedAggregationTest, ExactPerUserPathIdenticalAcrossShardCounts) {
   // Per-user exact simulation of a 1M-user GRR population (the
   // reference path) also shards deterministically.
@@ -135,7 +117,7 @@ TEST(ShardedAggregationTest, AddAllShardedMatchesAddAll) {
     for (size_t shards : kShardCounts) {
       Aggregator sharded(*protocol);
       sharded.AddAllSharded(reports, shards);
-      EXPECT_EQ(sharded.support_counts(), serial.support_counts())
+      EXPECT_EQ(sharded.counts(), serial.counts())
           << ProtocolKindName(kind) << " shards=" << shards;
       EXPECT_EQ(sharded.report_count(), serial.report_count());
     }

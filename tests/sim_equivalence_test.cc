@@ -32,9 +32,9 @@ TEST_P(SimEquivalenceTest, MeansAgree) {
   const int kTrials = 25;
   for (int t = 0; t < kTrials; ++t) {
     const auto cf = proto->SampleSupportCounts(item_counts, rng);
-    fast.Add(proto->EstimateFrequencies(cf, n)[0]);
+    fast.Add(proto->EstimateFrequencies(CountsToDoubles(cf), n)[0]);
     const auto ce = ExactGenuineSupportCounts(*proto, item_counts, rng);
-    exact.Add(proto->EstimateFrequencies(ce, n)[0]);
+    exact.Add(proto->EstimateFrequencies(CountsToDoubles(ce), n)[0]);
   }
   const double sigma =
       std::sqrt(proto->FrequencyVariance(0.5, n) / kTrials);
@@ -54,9 +54,9 @@ TEST_P(SimEquivalenceTest, VariancesAgreeWithTheory) {
   const int kTrials = 150;
   for (int t = 0; t < kTrials; ++t) {
     const auto cf = proto->SampleSupportCounts(item_counts, rng);
-    fast.Add(proto->EstimateFrequencies(cf, n)[3]);
+    fast.Add(proto->EstimateFrequencies(CountsToDoubles(cf), n)[3]);
     const auto ce = ExactGenuineSupportCounts(*proto, item_counts, rng);
-    exact.Add(proto->EstimateFrequencies(ce, n)[3]);
+    exact.Add(proto->EstimateFrequencies(CountsToDoubles(ce), n)[3]);
   }
   const double theory = proto->FrequencyVariance(1.0 / d, n);
   EXPECT_NEAR(fast.variance(), theory, 0.45 * theory);

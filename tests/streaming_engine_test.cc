@@ -73,11 +73,11 @@ TEST(StreamingEngineTest, SingleWindowMatchesAddAllShardedByteExact) {
       for (size_t shards : kShards) {
         Aggregator aggregator(*protocol);
         aggregator.AddAllSharded(replay.reports, shards);
-        const std::vector<double>& batch = aggregator.support_counts();
+        const std::vector<uint64_t>& batch = aggregator.counts();
         ASSERT_EQ(batch.size(), d);
         for (size_t v = 0; v < d; ++v) {
-          // Byte-identical, not approximately equal: exact integer
-          // sums admit no tolerance.
+          // Equal, not approximately equal: integer counts admit no
+          // tolerance.
           EXPECT_EQ(summary.final_support_counts[v], batch[v])
               << ProtocolKindName(kind) << " total=" << total
               << " shards=" << shards << " item=" << v;
@@ -123,7 +123,7 @@ TEST(StreamingEngineTest, SlidingWindowsMatchNaiveRangeRecompute) {
                                         window.first_report +
                                             window.report_count));
       for (size_t v = 0; v < d; ++v) {
-        EXPECT_EQ(window.support_counts[v], naive.support_counts()[v])
+        EXPECT_EQ(window.support_counts[v], naive.counts()[v])
             << ProtocolKindName(kind) << " window=" << w << " item=" << v;
       }
       // Attacker count per window matches the replay flags.
@@ -149,7 +149,7 @@ TEST(StreamingEngineTest, TumblingWindowsPartitionTheStreamExactly) {
 
   ASSERT_EQ(summary.windows.size(), 6u);  // 5 full + 1 partial (250)
   size_t covered = 0;
-  std::vector<double> summed(d, 0.0);
+  std::vector<uint64_t> summed(d, 0);
   size_t attackers = 0;
   for (const WindowResult& w : summary.windows) {
     EXPECT_EQ(w.first_report, covered);

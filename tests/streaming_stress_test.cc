@@ -127,7 +127,7 @@ TEST(StreamingStressTest, RandomizedShapesUpholdStreamingInvariants) {
     ASSERT_EQ(replay.reports.size(), spec.total_reports);
     Aggregator aggregator(*protocol);
     aggregator.AddAllSharded(replay.reports, fuzz.shards);
-    EXPECT_EQ(summary.final_support_counts, aggregator.support_counts());
+    EXPECT_EQ(summary.final_support_counts, aggregator.counts());
 
     ASSERT_FALSE(summary.windows.empty());
     const size_t stride = spec.stride_reports == 0 ? spec.window_reports
@@ -149,7 +149,7 @@ TEST(StreamingStressTest, RandomizedShapesUpholdStreamingInvariants) {
     if (spec.stride_reports == 0) {
       // Tumbling windows partition the stream: per-window counts,
       // tallies, and attacker counts sum back to the totals exactly.
-      std::vector<double> summed(spec.item_counts.size(), 0.0);
+      std::vector<uint64_t> summed(spec.item_counts.size(), 0);
       std::vector<uint64_t> tally(spec.item_counts.size(), 0);
       size_t covered = 0;
       for (const WindowResult& window : summary.windows) {

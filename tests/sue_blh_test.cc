@@ -41,7 +41,7 @@ TEST(SueTest, EstimationIsUnbiased) {
   item_counts[2] = 60000;
   item_counts[6] = 40000;
   const auto counts = sue.SampleSupportCounts(item_counts, rng);
-  const auto freqs = sue.EstimateFrequencies(counts, 100000);
+  const auto freqs = sue.EstimateFrequencies(CountsToDoubles(counts), 100000);
   EXPECT_NEAR(freqs[2], 0.6, 0.02);
   EXPECT_NEAR(freqs[6], 0.4, 0.02);
 }
@@ -62,7 +62,7 @@ TEST(SueTest, ExactVarianceMatchesEmpirical) {
   RunningStat est;
   for (int trial = 0; trial < 300; ++trial) {
     const auto counts = sue.SampleSupportCounts(item_counts, rng);
-    est.Add(sue.EstimateFrequencies(counts, n)[0]);
+    est.Add(sue.EstimateFrequencies(CountsToDoubles(counts), n)[0]);
   }
   const double theory = sue.FrequencyVariance(1.0 / d, n);
   EXPECT_NEAR(est.variance(), theory, 0.3 * theory);
@@ -90,7 +90,7 @@ TEST(BlhTest, EstimationIsUnbiased) {
   item_counts[4] = 120000;
   item_counts[9] = 80000;
   const auto counts = blh.SampleSupportCounts(item_counts, rng);
-  const auto freqs = blh.EstimateFrequencies(counts, 200000);
+  const auto freqs = blh.EstimateFrequencies(CountsToDoubles(counts), 200000);
   EXPECT_NEAR(freqs[4], 0.6, 0.03);
   EXPECT_NEAR(freqs[9], 0.4, 0.03);
 }

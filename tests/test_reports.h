@@ -14,11 +14,11 @@
 
 namespace ldpr {
 
-/// Support indicator of one report: entry v is 1.0 iff the report
+/// Support indicator of one report: entry v is 1 iff the report
 /// supports item v (a one-row AccumulateSupportsBatch).
-inline std::vector<double> SupportVector(const FrequencyProtocol& protocol,
-                                         const Report& report) {
-  std::vector<double> counts(protocol.domain_size(), 0.0);
+inline std::vector<uint64_t> SupportVector(const FrequencyProtocol& protocol,
+                                           const Report& report) {
+  std::vector<uint64_t> counts(protocol.domain_size(), 0);
   protocol.AccumulateSupportsBatch(std::vector<Report>{report}, counts);
   return counts;
 }
@@ -26,17 +26,17 @@ inline std::vector<double> SupportVector(const FrequencyProtocol& protocol,
 /// True iff `report` supports `item` (Eq. (13)).
 inline bool Supports(const FrequencyProtocol& protocol, const Report& report,
                      ItemId item) {
-  return SupportVector(protocol, report)[item] != 0.0;
+  return SupportVector(protocol, report)[item] != 0;
 }
 
 /// Support counts of `count` genuine reports of `item` (one
 /// AppendGenuineReports batch).
-inline std::vector<double> GenuineSupportCounts(
+inline std::vector<uint64_t> GenuineSupportCounts(
     const FrequencyProtocol& protocol, ItemId item, uint64_t count, Rng& rng) {
   ReportBatch batch;
   ReportBatch::Builder builder(batch);
   protocol.AppendGenuineReports(item, count, rng, builder);
-  std::vector<double> counts(protocol.domain_size(), 0.0);
+  std::vector<uint64_t> counts(protocol.domain_size(), 0);
   protocol.AccumulateSupportsBatch(batch, counts);
   return counts;
 }
