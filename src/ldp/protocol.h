@@ -149,8 +149,7 @@ class FrequencyProtocol {
 
   /// The user-side perturbation algorithm Psi_eps for one user: a
   /// one-row AppendGenuineReports, extracted.  Same draws as one row
-  /// of the batch path; for tests, examples and single-report
-  /// callers (Harmony, the key-value protocol).
+  /// of the batch path; for tests and the benchmark's report replay.
   Report Perturb(ItemId item, Rng& rng) const;
 
   /// The support counter: adds, for every item v, the number of

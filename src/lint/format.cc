@@ -14,8 +14,8 @@ struct RuleMeta {
 constexpr RuleMeta kRules[] = {
     {"R1", "Banned nondeterminism source (rand/random_device/clock/lgamma)"},
     {"R2", "Iteration over an unordered container in src/"},
-    {"R3", "Floating-point accumulation in a loop outside the exact-sum "
-           "allowlist"},
+    {"R3", "Floating-point accumulation in a loop without integer counts "
+           "or an fp-order-ok pragma"},
     {"R4", "Test/tool registration drift between CMake and the CI matrix"},
     {"R5", "Non-canonical or missing include guard"},
     {"R6", "Layer-DAG violation in the src/ include graph"},

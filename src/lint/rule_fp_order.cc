@@ -216,8 +216,8 @@ void CheckFpAccumulationOrder(const LintTree& tree, const SourceFile& file,
             file.path, i + 1, "R3",
             "floating-point accumulation '" + target + " " + op +
                 " ...' inside a loop: regrouping across shards changes "
-                "bits unless the sum is exact — add this file to the R3 "
-                "exact-sum allowlist or `// lint: fp-order-ok(<reason>)`"});
+                "bits — accumulate counts as integers, or mark a "
+                "fixed-order loop `// lint: fp-order-ok(<reason>)`"});
       }
     }
   }

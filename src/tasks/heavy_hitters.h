@@ -1,13 +1,12 @@
-// Heavy-hitter identification on top of LDP frequency estimation —
-// the "more advanced task built on the frequency building block" the
-// paper's related-work section points to, and the setting where
-// targeted poisoning hurts most (MGA exists to push attacker items
-// into the published top-k).
+// Task-level views of a frequency estimate for heavy-hitter
+// publication — the setting where targeted poisoning hurts most (MGA
+// exists to push attacker items into the published top-k).
 //
-// The module identifies top-k items from any frequency vector and
-// quantifies how much an attack corrupted a published ranking, so the
-// paper's recovery can be evaluated on the task-level outcome rather
-// than raw MSE.
+// The module measures how much an attack corrupted a published top-k
+// ranking and how many attacker targets made it in, so the paper's
+// recovery can be evaluated on the task-level outcome rather than raw
+// MSE.  Rankings order items by decreasing frequency, ties broken by
+// item id.
 
 #ifndef LDPR_TASKS_HEAVY_HITTERS_H_
 #define LDPR_TASKS_HEAVY_HITTERS_H_
@@ -18,27 +17,6 @@
 #include "ldp/report.h"
 
 namespace ldpr {
-
-struct HeavyHitter {
-  ItemId item = 0;
-  double frequency = 0.0;
-};
-
-struct HeavyHitterOptions {
-  /// How many hitters to report.
-  size_t k = 10;
-  /// Discard candidates whose estimated frequency is below this
-  /// threshold (estimates can be noisy near zero).
-  double min_frequency = 0.0;
-};
-
-/// The top-k items of a frequency vector, sorted by decreasing
-/// frequency (ties broken by item id for determinism).  Items whose
-/// frequency is <= min_frequency are excluded, so fewer than k
-/// entries may be returned.
-std::vector<HeavyHitter> IdentifyHeavyHitters(
-    const std::vector<double>& frequencies,
-    const HeavyHitterOptions& options = {});
 
 /// Fraction of the *true* top-k that is missing from the estimate's
 /// top-k (0 = ranking intact, 1 = completely displaced).  The

@@ -1,6 +1,7 @@
 #include "util/json_reader.h"
 
 #include <cctype>
+#include <cstddef>
 #include <cstdlib>
 
 namespace ldpr {
@@ -64,6 +65,11 @@ JsonValue JsonValue::Object(
 
 namespace {
 
+// Deepest container nesting ParseJson accepts.  The writers here nest
+// a few levels; the bound keeps the recursive descent's stack use
+// fixed on hostile input.
+constexpr size_t kMaxJsonDepth = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -110,9 +116,15 @@ class Parser {
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kMaxJsonDepth)
+          return Error("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                       " levels");
+        ++depth_;
+        auto container = text_[pos_] == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return container;
+      }
       case '"': {
         auto s = ParseString();
         if (!s.ok()) return s.status();
@@ -271,6 +283,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // open containers around the current value
 };
 
 }  // namespace

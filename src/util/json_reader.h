@@ -72,7 +72,8 @@ class JsonValue {
 };
 
 /// Parses exactly one JSON document; trailing non-whitespace is an
-/// error.  Error messages carry a byte offset.
+/// error, and so is nesting deeper than 64 containers.
+/// Error messages carry a byte offset.
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace ldpr

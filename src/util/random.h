@@ -74,10 +74,6 @@ class Rng {
   /// once.
   uint64_t Binomial(uint64_t n, double p);
 
-  /// Jumps the generator forward by 2^128 steps; handy for carving
-  /// independent substreams out of one seed.
-  void Jump();
-
  private:
   uint64_t PoissonApproxBinomial(uint64_t n, double p);
   uint64_t BinomialInversion(uint64_t n, double p);

@@ -1,5 +1,10 @@
 #include "tasks/heavy_hitters.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -9,35 +14,6 @@
 
 namespace ldpr {
 namespace {
-
-TEST(IdentifyHeavyHittersTest, SortsByFrequency) {
-  const std::vector<double> freqs = {0.1, 0.4, 0.05, 0.25, 0.2};
-  const auto hitters = IdentifyHeavyHitters(freqs, {.k = 3});
-  ASSERT_EQ(hitters.size(), 3u);
-  EXPECT_EQ(hitters[0].item, 1u);
-  EXPECT_EQ(hitters[1].item, 3u);
-  EXPECT_EQ(hitters[2].item, 4u);
-  EXPECT_DOUBLE_EQ(hitters[0].frequency, 0.4);
-}
-
-TEST(IdentifyHeavyHittersTest, MinFrequencyTruncates) {
-  const std::vector<double> freqs = {0.5, 0.3, 0.001, 0.0};
-  const auto hitters =
-      IdentifyHeavyHitters(freqs, {.k = 4, .min_frequency = 0.01});
-  EXPECT_EQ(hitters.size(), 2u);
-}
-
-TEST(IdentifyHeavyHittersTest, KLargerThanDomain) {
-  const std::vector<double> freqs = {0.6, 0.4};
-  EXPECT_EQ(IdentifyHeavyHitters(freqs, {.k = 10}).size(), 2u);
-}
-
-TEST(IdentifyHeavyHittersTest, TieBreaksById) {
-  const std::vector<double> freqs = {0.25, 0.25, 0.25, 0.25};
-  const auto hitters = IdentifyHeavyHitters(freqs, {.k = 2});
-  EXPECT_EQ(hitters[0].item, 0u);
-  EXPECT_EQ(hitters[1].item, 1u);
-}
 
 TEST(TopKDisplacementTest, ZeroForIdenticalRanking) {
   const std::vector<double> freqs = {0.4, 0.3, 0.2, 0.1};
@@ -66,14 +42,21 @@ TEST(TopKDisplacementTest, LargeKMatchesNaiveMembership) {
   for (double& x : truth) x = rng.UniformDouble();
   for (double& x : est) x = rng.UniformDouble();
 
-  // Naive reference: linear scans over the two top-k id vectors.
-  std::vector<uint8_t> in_truth_top(d, 0), in_est_top(d, 0);
-  {
-    const auto top_truth = IdentifyHeavyHitters(truth, {.k = k});
-    const auto top_est = IdentifyHeavyHitters(est, {.k = k});
-    for (const HeavyHitter& h : top_truth) in_truth_top[h.item] = 1;
-    for (const HeavyHitter& h : top_est) in_est_top[h.item] = 1;
-  }
+  // Independent reference: fully sort every item id (frequency
+  // descending, id ascending on ties) and mark the first k.
+  const auto top_k_mask = [&](const std::vector<double>& freqs) {
+    std::vector<ItemId> order(d);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](ItemId a, ItemId b) {
+      if (freqs[a] != freqs[b]) return freqs[a] > freqs[b];
+      return a < b;
+    });
+    std::vector<uint8_t> mask(d, 0);
+    for (size_t i = 0; i < k; ++i) mask[order[i]] = 1;
+    return mask;
+  };
+  const std::vector<uint8_t> in_truth_top = top_k_mask(truth);
+  const std::vector<uint8_t> in_est_top = top_k_mask(est);
   size_t missing = 0;
   for (size_t v = 0; v < d; ++v) {
     if (in_truth_top[v] && !in_est_top[v]) ++missing;

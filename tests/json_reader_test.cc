@@ -97,5 +97,21 @@ TEST(JsonReaderTest, RejectsMalformedInput) {
       << err.status().ToString();
 }
 
+TEST(JsonReaderTest, NestingIsBoundedAt64Levels) {
+  const auto nested = [](size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(ParseJson(nested(64)).ok());
+  EXPECT_FALSE(ParseJson(nested(65)).ok());
+  EXPECT_FALSE(ParseJson("{\"a\":" + nested(64) + "}").ok());
+  // Deep enough to overflow the stack of an unbounded recursive
+  // descent: must come back as a Status, not a crash.
+  const auto deep = ParseJson(std::string(200000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(deep.status().message().find("nesting"), std::string::npos)
+      << deep.status().ToString();
+}
+
 }  // namespace
 }  // namespace ldpr

@@ -620,7 +620,7 @@ TEST(FormatTest, SarifGoldenBytes) {
           "rules": [
             {"id": "R1", "shortDescription": {"text": "Banned nondeterminism source (rand/random_device/clock/lgamma)"}},
             {"id": "R2", "shortDescription": {"text": "Iteration over an unordered container in src/"}},
-            {"id": "R3", "shortDescription": {"text": "Floating-point accumulation in a loop outside the exact-sum allowlist"}},
+            {"id": "R3", "shortDescription": {"text": "Floating-point accumulation in a loop without integer counts or an fp-order-ok pragma"}},
             {"id": "R4", "shortDescription": {"text": "Test/tool registration drift between CMake and the CI matrix"}},
             {"id": "R5", "shortDescription": {"text": "Non-canonical or missing include guard"}},
             {"id": "R6", "shortDescription": {"text": "Layer-DAG violation in the src/ include graph"}},

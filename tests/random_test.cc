@@ -112,15 +112,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(100000ULL, 0.3),  // big BTRS
                       std::make_tuple(389894ULL, 0.05)));  // IPUMS scale
 
-TEST(RngTest, JumpDecorrelates) {
-  Rng a(31);
-  Rng b(31);
-  b.Jump();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) equal += (a.Next() == b.Next()) ? 1 : 0;
-  EXPECT_EQ(equal, 0);
-}
-
 TEST(AliasSamplerTest, NormalizesWeights) {
   AliasSampler s({2.0, 6.0});
   EXPECT_DOUBLE_EQ(s.probability(0), 0.25);

@@ -158,6 +158,22 @@ TEST(ShardWireTest, GarbageIsRejected) {
   }
 }
 
+TEST(ShardWireTest, DeeplyNestedPayloadIsRejected) {
+  // A correctly checksummed frame whose payload nests far deeper than
+  // any wire record: the JSON nesting bound rejects it, no crash.
+  const std::string payload(200000, '[');
+  char crc[17];
+  std::snprintf(crc, sizeof(crc), "%016llx",
+                static_cast<unsigned long long>(XxHash64(
+                    payload.data(), payload.size(), kShardChecksumSeed)));
+  const auto decoded = DecodePartialLine("{\"payload\":" + payload +
+                                         ",\"crc64\":\"" + crc + "\"}\n");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("nesting"), std::string::npos)
+      << decoded.status().ToString();
+}
+
 TEST(ShardWireTest, FileRoundTrip) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "ldpr_shard_wire").string();

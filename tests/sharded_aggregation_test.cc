@@ -14,7 +14,6 @@
 
 #include "data/synthetic.h"
 #include "ldp/factory.h"
-#include "ldp/harmony.h"
 #include "recover/detection.h"
 #include "sim/experiment.h"
 #include "sim/pipeline.h"
@@ -216,19 +215,6 @@ TEST(ShardedAggregationTest, DetectionShardedEstimateIsSane) {
   const std::vector<double> estimate = filter.Estimate();
   for (ItemId v : {ItemId(0), ItemId(7), ItemId(20)}) {
     EXPECT_NEAR(estimate[v], truth[v], 0.1) << "item " << v;
-  }
-}
-
-TEST(ShardedAggregationTest, HarmonyShardedMeanMatchesSerial) {
-  const Harmony harmony(0.5);
-  Rng rng(21);
-  std::vector<Report> reports;
-  for (size_t i = 0; i < 30000; ++i)
-    reports.push_back(harmony.Perturb(0.3, rng));
-  const double serial = harmony.EstimateMean(reports);
-  for (size_t shards : kShardCounts) {
-    EXPECT_EQ(harmony.EstimateMeanSharded(reports, shards), serial)
-        << "shards=" << shards;
   }
 }
 
