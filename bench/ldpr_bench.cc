@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/manifest.h"
@@ -155,7 +156,7 @@ int Run(int argc, char** argv) {
   const auto seed = flags.GetInt("seed", 0);
   const auto trials = flags.GetInt("trials", 0);
   const auto scale = flags.GetDouble("scale", 0.0);
-  const auto threads = flags.GetInt("threads", -1);
+  const auto threads = flags.GetInt("threads", 0);
 
   for (const Status& status :
        {seed.ok() ? Status::Ok() : seed.status(),
@@ -171,6 +172,17 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown flag --%s (try --list)\n",
                  unused.c_str());
     return 1;
+  }
+  // 0 selects the default; a negative value is a typo, not "default".
+  for (const auto& [name, value] : {std::pair{"seed", *seed},
+                                    std::pair{"trials", *trials},
+                                    std::pair{"threads", *threads}}) {
+    if (value < 0) {
+      std::fprintf(stderr,
+                   "error: INVALID_ARGUMENT: --%s must be >= 0, got %lld\n",
+                   name, static_cast<long long>(value));
+      return 1;
+    }
   }
 
   if (list) {
@@ -191,8 +203,8 @@ int Run(int argc, char** argv) {
   }
 
   ScenarioRunOptions options;
-  options.seed = static_cast<uint64_t>(*seed < 0 ? 0 : *seed);
-  options.trials = static_cast<size_t>(*trials < 0 ? 0 : *trials);
+  options.seed = static_cast<uint64_t>(*seed);
+  options.trials = static_cast<size_t>(*trials);
   options.scale = *scale;
 
   std::vector<std::string> ids = SplitCommaList(scenario_list);

@@ -4,18 +4,17 @@
 // both as MSE and at the task level (how many attacker targets
 // survive in the published top-10 ranking).
 //
-// The (cell x trial) grid fans out across LDPR_THREADS on
-// counter-derived per-trial seeds, with per-trial metrics merged in
-// trial order — byte-identical output at any thread count.
+// The attack x protocol table runs through AttackProtocolTable
+// (scenarios.h) — byte-identical output at any thread count.  The
+// top-10 columns are plain trial means: the attack fixes whether a
+// trial has targets (MGA always declares r, AA none), so AA rows read
+// 0.
 
 #include <iterator>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "ldp/factory.h"
 #include "recover/ldprecover.h"
-#include "runner/scenario_runner.h"
 #include "scenarios.h"
 #include "sim/pipeline.h"
 #include "tasks/heavy_hitters.h"
@@ -25,14 +24,10 @@ namespace ldpr {
 namespace bench {
 namespace {
 
-struct TrialRow {
-  double mse_before = 0, mse_after = 0;
-  double hits_before = 0, hits_after = 0;
-  bool targeted = false;
-};
-
-TrialRow RunOneTrial(const FrequencyProtocol& protocol, const Dataset& dataset,
-                     const PipelineConfig& pconfig, uint64_t trial_seed) {
+std::vector<double> RunOneTrial(const FrequencyProtocol& protocol,
+                                const Dataset& dataset,
+                                const PipelineConfig& pconfig,
+                                uint64_t trial_seed) {
   Rng rng(trial_seed);
   const TrialOutput t = RunPoisoningTrial(protocol, pconfig, dataset, rng);
   RecoverOptions opts;
@@ -40,75 +35,15 @@ TrialRow RunOneTrial(const FrequencyProtocol& protocol, const Dataset& dataset,
   const LdpRecover recover(protocol, opts);
   const auto recovered = recover.Recover(t.poisoned_freqs);
 
-  TrialRow row;
-  row.mse_before = Mse(t.true_freqs, t.poisoned_freqs);
-  row.mse_after = Mse(t.true_freqs, recovered);
+  double hits_before = 0, hits_after = 0;
   if (!t.attack_targets.empty()) {
-    row.targeted = true;
-    row.hits_before = static_cast<double>(
+    hits_before = static_cast<double>(
         CountInTopK(t.poisoned_freqs, t.attack_targets, 10));
-    row.hits_after =
+    hits_after =
         static_cast<double>(CountInTopK(recovered, t.attack_targets, 10));
   }
-  return row;
-}
-
-Status RunExtProtocols(ScenarioContext& ctx) {
-  const ScenarioSpec& spec = ctx.spec;
-  const Dataset& ipums = ctx.datasets[0];
-
-  std::vector<ScenarioCell> cells;
-  for (AttackKind attack : spec.attacks) {
-    for (ProtocolKind kind : spec.protocols) cells.push_back({attack, kind});
-  }
-  std::vector<std::unique_ptr<FrequencyProtocol>> protocols;
-  for (const ScenarioCell& cell : cells)
-    protocols.push_back(MakeProtocol(cell.protocol, ipums.domain_size(),
-                                     spec.defaults.epsilon));
-
-  const size_t trials = ctx.trials;
-  ThreadBudget budget;
-  const std::vector<TrialRow> rows = RunTrialGrid<TrialRow>(
-      cells.size(), trials, ctx.seed,
-      [&](size_t cell, size_t shards, uint64_t trial_seed) {
-        PipelineConfig config;
-        config.attack = cells[cell].attack;
-        config.beta = spec.defaults.beta;
-        config.shards = shards;
-        return RunOneTrial(*protocols[cell], ipums, config, trial_seed);
-      },
-      &budget);
-  ctx.report.outer_workers = budget.outer;
-  ctx.report.shards = budget.inner;
-
-  ctx.sink.BeginTable("Extended protocols (IPUMS): MSE and targets in top-10",
-                      spec.columns);
-  const size_t per_attack = spec.protocols.size();
-  for (size_t cell = 0; cell < cells.size(); ++cell) {
-    RunningStat mse_before, mse_after, hits_before, hits_after;
-    for (size_t t = 0; t < trials; ++t) {
-      const TrialRow& row = rows[cell * trials + t];
-      mse_before.Add(row.mse_before);
-      mse_after.Add(row.mse_after);
-      if (row.targeted) {
-        hits_before.Add(row.hits_before);
-        hits_after.Add(row.hits_after);
-      }
-    }
-    const std::string name =
-        std::string(AttackKindName(cells[cell].attack)) + "-" +
-        ProtocolKindName(cells[cell].protocol);
-    ctx.sink.AddRow(name,
-                    {mse_before.mean(), mse_after.mean(),
-                     hits_before.count() ? hits_before.mean() : 0.0,
-                     hits_after.count() ? hits_after.mean() : 0.0});
-    ++ctx.report.rows;
-    if ((cell + 1) % per_attack == 0 && cell + 1 < cells.size())
-      ctx.sink.AddSeparator();
-  }
-  ctx.sink.EndTable();
-  ++ctx.report.tables;
-  return Status::Ok();
+  return {Mse(t.true_freqs, t.poisoned_freqs), Mse(t.true_freqs, recovered),
+          hits_before, hits_after};
 }
 
 }  // namespace
@@ -128,7 +63,8 @@ void RegisterExtProtocols(ScenarioRegistry& registry) {
   spec.attacks = {AttackKind::kMga, AttackKind::kAdaptive};
   spec.columns = {"MSE before", "MSE after", "top10 before", "top10 after"};
   spec.custom = true;
-  scenario.run = RunExtProtocols;
+  scenario.run = AttackProtocolTable(
+      "Extended protocols (IPUMS): MSE and targets in top-10", RunOneTrial);
   registry.Register(std::move(scenario));
 }
 

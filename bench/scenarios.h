@@ -10,6 +10,11 @@
 #ifndef LDPR_BENCH_SCENARIOS_H_
 #define LDPR_BENCH_SCENARIOS_H_
 
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "runner/registry.h"
 
 namespace ldpr {
@@ -33,6 +38,30 @@ void RegisterStreamingRamp(ScenarioRegistry& registry);
 void RegisterStreamingDrift(ScenarioRegistry& registry);
 void RegisterShardFaultLoss(ScenarioRegistry& registry);
 void RegisterShardFaultMixed(ScenarioRegistry& registry);
+
+/// The row labels of a one-row-per-protocol table: the names of
+/// spec.protocols.
+std::vector<std::string> ProtocolLabels(const ScenarioSpec& spec);
+
+/// spec.protocols built on `dataset`'s domain at spec.defaults.epsilon,
+/// in spec order (index i is the protocol of ProtocolLabels(spec)[i]).
+std::vector<std::unique_ptr<FrequencyProtocol>> MakeProtocols(
+    const ScenarioSpec& spec, const Dataset& dataset);
+
+/// One trial of an attack x protocol cell: the row of spec.columns for
+/// `protocol` on `dataset` under `config` (attack, beta and shards
+/// set by the caller), drawn from `trial_seed`.
+using AttackProtocolTrialFn = std::vector<double> (*)(
+    const FrequencyProtocol& protocol, const Dataset& dataset,
+    const PipelineConfig& config, uint64_t trial_seed);
+
+/// The run of the ablation and ext_protocols scenarios: one table
+/// titled `title` on the spec's first dataset, one row per
+/// (spec.attacks x spec.protocols) cell labeled "<attack>-<protocol>",
+/// a separator between attacks, each row the trial mean of `trial`
+/// (RunCellTable in runner/scenario_runner.h).
+ScenarioRunFn AttackProtocolTable(std::string title,
+                                  AttackProtocolTrialFn trial);
 
 /// Registers every paper figure/table scenario into the global
 /// registry, in the order `ldpr_bench --list` reports them.  Safe to

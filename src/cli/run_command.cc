@@ -82,7 +82,7 @@ int RunCommand(const FlagParser& flags) {
   config.eta = *eta;
   config.trials = static_cast<size_t>(*trials);
   config.seed = static_cast<uint64_t>(*seed);
-  config.threads = *threads < 0 ? 0 : static_cast<size_t>(*threads);
+  config.threads = static_cast<size_t>(*threads);
 
   // Surface bad knobs as status errors before any CHECK-guarded
   // library code can abort on them (empty/scaled-away datasets, zero
@@ -94,6 +94,16 @@ int RunCommand(const FlagParser& flags) {
   }
   if (*top_k < 1) {
     std::fprintf(stderr, "error: INVALID_ARGUMENT: --top_k must be >= 1\n");
+    return 1;
+  }
+  if (*trials < 1) {
+    std::fprintf(stderr, "error: INVALID_ARGUMENT: --trials must be >= 1\n");
+    return 1;
+  }
+  if (*threads < 0) {
+    std::fprintf(stderr,
+                 "error: INVALID_ARGUMENT: --threads must be >= 0 "
+                 "(0 = auto)\n");
     return 1;
   }
   const Dataset dataset = ScaleDataset(*dataset_or, *scale);

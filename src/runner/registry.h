@@ -6,8 +6,11 @@
 //   - format_row: maps one lowered row's ExperimentResults onto the
 //     spec's output columns (grid scenarios);
 //   - run: a full custom run loop writing through the ResultSink
-//     (bespoke scenarios: ablation, ext_protocols, fig9) — when set,
-//     the generic grid engine is bypassed.
+//     (the nine custom scenarios: ablation, ext_protocols, fig9,
+//     streaming_{equiv,wave,ramp,drift} and shard_fault_{loss,mixed},
+//     each table emitted through RunCellTable in
+//     runner/scenario_runner.h) — when set, the generic grid engine
+//     is bypassed.
 //
 // Registration is explicit (bench/scenarios.h's
 // RegisterAllScenarios()), not static-initializer magic, so linking

@@ -1,28 +1,43 @@
 #include "runner/scenario_runner.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "data/synthetic.h"
 #include "sim/experiment.h"
 #include "util/logging.h"
 #include "util/math_util.h"
+#include "util/metrics.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ldpr {
 
-double DefaultBenchScale() {
+namespace {
+
+// LDPR_BENCH_SCALE, clamped to [1e-4, 1]; default 0.05.
+StatusOr<double> DefaultBenchScale() {
   const char* env = std::getenv("LDPR_BENCH_SCALE");
   if (env == nullptr) return 0.05;
-  return Clamp(std::atof(env), 1e-4, 1.0);
+  char* end = nullptr;
+  const double v = std::strtod(env, &end);
+  if (end == env || *end != '\0' || !std::isfinite(v))
+    return InvalidArgumentError(
+        std::string("LDPR_BENCH_SCALE expects a number, got: ") + env);
+  return Clamp(v, 1e-4, 1.0);
 }
 
-size_t DefaultBenchTrials() {
+// LDPR_BENCH_TRIALS, at least 1; default 3.
+StatusOr<size_t> DefaultBenchTrials() {
   const char* env = std::getenv("LDPR_BENCH_TRIALS");
-  if (env == nullptr) return 3;
-  const long v = std::atol(env);
-  return v < 1 ? 1 : static_cast<size_t>(v);
+  if (env == nullptr) return size_t{3};
+  char* end = nullptr;
+  const long long v = std::strtoll(env, &end, 10);
+  if (end == env || *end != '\0')
+    return InvalidArgumentError(
+        std::string("LDPR_BENCH_TRIALS expects an integer, got: ") + env);
+  return v < 1 ? size_t{1} : static_cast<size_t>(v);
 }
-
-namespace {
 
 // The registered bench dataset generators.  A generator owns its
 // default shape; the resizable synthetic families additionally accept
@@ -213,9 +228,18 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
   if (!valid.ok()) return valid;
 
   const uint64_t seed = options.seed != 0 ? options.seed : spec.defaults.seed;
-  const size_t trials =
-      options.trials != 0 ? options.trials : DefaultBenchTrials();
-  const double scale = options.scale != 0 ? options.scale : DefaultBenchScale();
+  size_t trials = options.trials;
+  if (trials == 0) {
+    auto env_trials = DefaultBenchTrials();
+    if (!env_trials.ok()) return env_trials.status();
+    trials = *env_trials;
+  }
+  double scale = options.scale;
+  if (scale == 0) {
+    auto env_scale = DefaultBenchScale();
+    if (!env_scale.ok()) return env_scale.status();
+    scale = *env_scale;
+  }
   const size_t threads = DefaultThreadCount();
 
   // Grid scenarios lower before the banner renders: a dataset whose
@@ -273,6 +297,40 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
   Status status = RunGridScenario(scenario, lowered, datasets, ctx);
   if (!status.ok()) return status;
   return report;
+}
+
+void RunCellTable(ScenarioContext& ctx, const std::string& title,
+                  const std::vector<std::string>& labels, uint64_t seed,
+                  const CellTrialFn& fn, size_t group) {
+  const size_t cells = labels.size();
+  const size_t trials = ctx.trials;
+  const size_t total = cells * trials;
+  const ThreadBudget budget = SplitThreadBudget(0, total);
+  ctx.report.outer_workers = budget.outer;
+  ctx.report.shards = budget.inner;
+  std::vector<std::vector<double>> units(total);
+  ParallelFor(budget.outer, total, [&](size_t i) {
+    units[i] = fn(i / trials, budget.inner, DeriveSeed(seed, i));
+  });
+
+  const std::vector<std::string>& columns = ctx.spec.columns;
+  ctx.sink.BeginTable(title, columns);
+  for (size_t cell = 0; cell < cells; ++cell) {
+    std::vector<RunningStat> stats(columns.size());
+    for (size_t t = 0; t < trials; ++t) {
+      const std::vector<double>& unit = units[cell * trials + t];
+      LDPR_CHECK(unit.size() == columns.size());
+      for (size_t c = 0; c < unit.size(); ++c) stats[c].Add(unit[c]);
+    }
+    std::vector<double> means;
+    for (const RunningStat& stat : stats) means.push_back(stat.mean());
+    ctx.sink.AddRow(labels[cell], means);
+    ++ctx.report.rows;
+    if (group != 0 && (cell + 1) % group == 0 && cell + 1 < cells)
+      ctx.sink.AddSeparator();
+  }
+  ctx.sink.EndTable();
+  ++ctx.report.tables;
 }
 
 }  // namespace ldpr

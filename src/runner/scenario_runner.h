@@ -3,9 +3,11 @@
 // their ExperimentConfig grids, runs each dataset variant's grid as
 // one flat (config x trial) fan-out (RunExperiments in
 // sim/experiment.h), and streams every row through the ResultSink.  Custom
-// scenarios get a ScenarioContext and the RunTrialGrid helper
-// instead (the streaming_* scenarios run one RunStream per trial
-// inside RunTrialGrid — serial per trial, parallel across cells).
+// scenarios get a ScenarioContext instead and emit each table through
+// RunCellTable: a trial returns its row's columns, and the runner fans
+// the (cell x trial) grid out and averages each cell's trials into one
+// row (the streaming_* scenarios run one RunStream per trial — serial
+// per trial, parallel across cells).
 //
 // Determinism: a scenario's sink output is a pure function of
 // (spec, seed, scale, trials) — the thread budget never reaches the
@@ -17,31 +19,26 @@
 #define LDPR_RUNNER_SCENARIO_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "data/dataset.h"
 #include "runner/registry.h"
 #include "runner/result_sink.h"
-#include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace ldpr {
 
 /// Run knobs; zero fields fall back to the environment
-/// (LDPR_BENCH_SCALE, LDPR_BENCH_TRIALS) and then to the paper
-/// defaults (scale 0.05, trials 3, spec seed).
+/// (LDPR_BENCH_SCALE, clamped to [1e-4, 1]; LDPR_BENCH_TRIALS, at
+/// least 1) and then to the paper defaults (scale 0.05, trials 3,
+/// spec seed).  A set variable that does not parse as a number fails
+/// the run with InvalidArgument.
 struct ScenarioRunOptions {
   uint64_t seed = 0;
   size_t trials = 0;
   double scale = 0;
 };
-
-/// LDPR_BENCH_SCALE, clamped to [1e-4, 1]; default 0.05.
-double DefaultBenchScale();
-
-/// LDPR_BENCH_TRIALS, at least 1; default 3.
-size_t DefaultBenchTrials();
 
 /// Builds the dataset a spec names — one of the registered bench
 /// generators ("ipums", "fire", "zipf", "uniform") — scaled by
@@ -67,28 +64,25 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
                                         const ScenarioRunOptions& options,
                                         ResultSink& sink);
 
-/// Runs the (cell x trial) grid of a custom scenario across the
-/// LDPR_THREADS budget: flat index i = cell * trials + trial runs
-/// fn(cell, shards, DeriveSeed(seed, i)) on the budgeted outer
-/// fan-out (SplitThreadBudget in util/thread_pool.h), where `shards`
-/// is each trial's within-trial aggregation share.  Rows come back
-/// in flat order, so merging them per cell in trial order keeps
-/// scenario output byte-identical at any thread count.  When
-/// `budget_out` is set, the applied split is recorded there (custom
-/// scenarios forward it to their ScenarioRunReport).
-template <typename Row, typename TrialFn>
-std::vector<Row> RunTrialGrid(size_t cells, size_t trials, uint64_t seed,
-                              const TrialFn& fn,
-                              ThreadBudget* budget_out = nullptr) {
-  const size_t total = cells * trials;
-  const ThreadBudget budget = SplitThreadBudget(0, total);
-  if (budget_out != nullptr) *budget_out = budget;
-  std::vector<Row> rows(total);
-  ParallelFor(budget.outer, total, [&](size_t i) {
-    rows[i] = fn(i / trials, budget.inner, DeriveSeed(seed, i));
-  });
-  return rows;
-}
+/// One trial of a custom-scenario cell: fn(cell, shards, trial_seed)
+/// returns the trial's row, one value per spec column.  `shards` is
+/// the trial's within-trial aggregation share of the thread budget.
+using CellTrialFn =
+    std::function<std::vector<double>(size_t cell, size_t shards,
+                                      uint64_t trial_seed)>;
+
+/// Runs and emits one table of a custom scenario, one row per label.
+/// Flat unit i = cell * ctx.trials + trial runs
+/// fn(cell, shards, DeriveSeed(seed, i)) on the budgeted outer fan-out
+/// (SplitThreadBudget in util/thread_pool.h); each column of a cell's
+/// row is the RunningStat mean of its trials in trial order, so the
+/// table is byte-identical at any thread count.  A separator follows
+/// every `group` rows except the last (0: none).  Records the applied
+/// split and the table/row counts in ctx.report.  Aborts when a trial
+/// row's width differs from spec.columns.
+void RunCellTable(ScenarioContext& ctx, const std::string& title,
+                  const std::vector<std::string>& labels, uint64_t seed,
+                  const CellTrialFn& fn, size_t group = 0);
 
 }  // namespace ldpr
 

@@ -19,9 +19,10 @@
 //   3. otherwise — one table per dataset, one row per protocol
 //      (Table I, Figure 4).
 //
-// Custom scenarios (ablation, ext_protocols, fig9, and the
-// streaming_* windowed-ingest cells in bench/scenario_streaming.cc)
-// set `custom` and run their own trial loops; their spec still
+// Custom scenarios (ablation, ext_protocols, fig9, the streaming_*
+// windowed-ingest cells in bench/scenario_streaming.cc, and the
+// shard_fault_* cells in bench/scenario_shard_fault.cc) set `custom`
+// and run their own trial loops; their spec still
 // declares the axes as data for --list, documentation, and the
 // registry round-trip test.
 
@@ -132,7 +133,8 @@ struct ScenarioSpec {
 
   ScenarioDefaults defaults;
   /// True for scenarios that run their own trial loop instead of the
-  /// generic grid engine (ablation, ext_protocols, fig9).
+  /// generic grid engine (ablation, ext_protocols, fig9, streaming_*,
+  /// shard_fault_*).
   bool custom = false;
 };
 

@@ -2,10 +2,13 @@
 // --list reports resolves back through the registry, every grid spec
 // lowers to a valid ExperimentConfig grid whose shape matches the
 // declared columns, and a real (tiny) scenario run produces the
-// CSV/JSONL/manifest triple the --out contract promises.
+// CSV/JSONL/manifest triple the --out contract promises.  Also pins
+// the runner's two shared pieces: the bench env knobs and the
+// custom-scenario table fold (RunCellTable).
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -22,6 +25,8 @@
 #include "runner/scenario_runner.h"
 #include "scenarios.h"
 #include "util/csv.h"
+#include "util/metrics.h"
+#include "util/random.h"
 
 namespace ldpr {
 namespace bench {
@@ -277,6 +282,183 @@ TEST_F(ScenarioRegistryTest, TinyRunProducesCsvJsonlAndManifest) {
             std::string::npos);
 
   std::filesystem::remove_all(dir);
+}
+
+// Sets an environment variable for one scope and restores its prior
+// value (or absence) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      setenv(name_, old_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_old_ = false;
+  std::string old_;
+};
+
+// Records every sink call as one line of text, values at full
+// precision, so two runs compare byte for byte.
+class RecordingSink : public ResultSink {
+ public:
+  void BeginTable(const std::string& title,
+                  const std::vector<std::string>& columns) override {
+    log += "table " + title + " |";
+    for (const std::string& column : columns) log += " " + column;
+    log += "\n";
+  }
+  void AddRow(const std::string& label,
+              const std::vector<double>& values) override {
+    log += "row " + label;
+    for (double v : values) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), " %.17g", v);
+      log += buf;
+    }
+    log += "\n";
+  }
+  void AddSeparator() override { log += "separator\n"; }
+  void EndTable() override { log += "end\n"; }
+  Status Finish() override { return Status::Ok(); }
+
+  std::string log;
+};
+
+TEST_F(ScenarioRegistryTest, BenchEnvKnobsRejectGarbageAndClampNumbers) {
+  const Scenario* table1 = ScenarioRegistry::Global().Find("table1");
+  ASSERT_NE(table1, nullptr);
+  RecordingSink sink;
+
+  {
+    ScopedEnv scale("LDPR_BENCH_SCALE", "abc");
+    ScenarioRunOptions options;
+    options.trials = 1;
+    const auto report = RunScenario(*table1, options, sink);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(report.status().message().find("LDPR_BENCH_SCALE"),
+              std::string::npos)
+        << report.status().ToString();
+  }
+  {
+    ScopedEnv trials("LDPR_BENCH_TRIALS", "xyz");
+    ScenarioRunOptions options;
+    options.scale = 0.002;
+    const auto report = RunScenario(*table1, options, sink);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(report.status().message().find("LDPR_BENCH_TRIALS"),
+              std::string::npos)
+        << report.status().ToString();
+  }
+  {
+    // Numbers keep the documented clamps: scale into [1e-4, 1],
+    // trials to at least 1.
+    ScopedEnv scale("LDPR_BENCH_SCALE", "0");
+    ScopedEnv trials("LDPR_BENCH_TRIALS", "-2");
+    const auto report = RunScenario(*table1, ScenarioRunOptions{}, sink);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->info.scale, 1e-4);
+    EXPECT_EQ(report->info.trials, 1u);
+  }
+  // Explicit options never read the environment.
+  {
+    ScopedEnv scale("LDPR_BENCH_SCALE", "abc");
+    ScopedEnv trials("LDPR_BENCH_TRIALS", "xyz");
+    ScenarioRunOptions options;
+    options.trials = 1;
+    options.scale = 0.002;
+    EXPECT_TRUE(RunScenario(*table1, options, sink).ok());
+  }
+}
+
+struct CellTableRun {
+  std::string log;
+  ScenarioRunReport report;
+};
+
+// Four cells x three trials, grouped in pairs.  Column 0 is a
+// seed-derived value (so the mean depends on the unit -> seed map and
+// on summation order), column 1 the cell index.
+CellTableRun RunFourCellTable(const char* threads) {
+  ScopedEnv env("LDPR_THREADS", threads);
+  ScenarioSpec spec;
+  spec.columns = {"seeded", "cell"};
+  const std::vector<Dataset> datasets;
+  RecordingSink sink;
+  CellTableRun run;
+  ScenarioContext ctx{spec, /*seed=*/7, /*trials=*/3, /*scale=*/1.0,
+                      /*threads=*/1, datasets, sink, run.report};
+  RunCellTable(
+      ctx, "cells", {"c0", "c1", "c2", "c3"}, /*seed=*/1234,
+      [](size_t cell, size_t /*shards*/, uint64_t trial_seed) {
+        return std::vector<double>{static_cast<double>(trial_seed % 1000) / 7.0,
+                                   static_cast<double>(cell)};
+      },
+      /*group=*/2);
+  run.log = sink.log;
+  return run;
+}
+
+TEST(RunCellTableTest, RowsArePerCellTrialMeansInTrialOrder) {
+  const CellTableRun run = RunFourCellTable("4");
+
+  std::string expected = "table cells | seeded cell\n";
+  for (size_t cell = 0; cell < 4; ++cell) {
+    RunningStat seeded;
+    for (size_t t = 0; t < 3; ++t)
+      seeded.Add(static_cast<double>(DeriveSeed(1234, cell * 3 + t) % 1000) /
+                 7.0);
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "row c%zu %.17g %.17g\n", cell,
+                  seeded.mean(), static_cast<double>(cell));
+    expected += buf;
+    // A separator after every second row, but not after the last.
+    if (cell == 1) expected += "separator\n";
+  }
+  expected += "end\n";
+  EXPECT_EQ(run.log, expected);
+
+  EXPECT_EQ(run.report.tables, 1u);
+  EXPECT_EQ(run.report.rows, 4u);
+  // LDPR_THREADS=4 over 12 units: four outer workers, one shard each.
+  EXPECT_EQ(run.report.outer_workers, 4u);
+  EXPECT_EQ(run.report.shards, 1u);
+}
+
+TEST(RunCellTableTest, OutputIsIdenticalAtAnyThreadCount) {
+  const CellTableRun serial = RunFourCellTable("1");
+  const CellTableRun parallel = RunFourCellTable("4");
+  EXPECT_EQ(serial.log, parallel.log);
+  EXPECT_EQ(serial.report.outer_workers, 1u);
+  EXPECT_EQ(parallel.report.outer_workers, 4u);
+  EXPECT_EQ(serial.report.rows, parallel.report.rows);
+}
+
+TEST(RunCellTableDeathTest, WrongWidthRowAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ScenarioSpec spec;
+  spec.columns = {"a", "b"};
+  const std::vector<Dataset> datasets;
+  RecordingSink sink;
+  ScenarioRunReport report;
+  ScenarioContext ctx{spec, 1, 1, 1.0, 1, datasets, sink, report};
+  EXPECT_DEATH(RunCellTable(ctx, "t", {"only"}, 1,
+                            [](size_t, size_t, uint64_t) {
+                              return std::vector<double>{1.0};
+                            }),
+               "LDPR_CHECK");
 }
 
 }  // namespace
