@@ -47,9 +47,9 @@ struct RateStats {
 // Back-to-back repetition keeps the measurement in its own steady
 // state.
 template <typename Fn>
-RateStats MeasureRates(int reps, size_t n, Fn&& run) {
+RateStats MeasureRates(size_t reps, size_t n, Fn&& run) {
   run();  // warmup
-  std::vector<double> rates(static_cast<size_t>(reps));
+  std::vector<double> rates(reps);
   for (double& rate : rates) {
     const auto start = std::chrono::steady_clock::now();
     run();
@@ -73,43 +73,19 @@ size_t DefaultReports(ProtocolKind kind, size_t d) {
 }
 
 int Run(int argc, char** argv) {
-  const FlagParser flags(argc, argv);
-  const auto d = flags.GetInt("d", 1024);
-  const auto epsilon = flags.GetDouble("epsilon", 1.0);
-  const auto targets = flags.GetInt("targets", 10);
-  const auto reports_flag = flags.GetInt("reports", 0);
-  const auto reps = flags.GetInt("reps", 3);
+  FlagParser flags(argc, argv);
+  const uint64_t d = flags.GetUint("d", 1024);
+  const double epsilon = flags.GetDouble("epsilon", 1.0);
+  const uint64_t targets = flags.GetUint("targets", 10);
+  const uint64_t reports_flag = flags.GetUint("reports", 0);
+  const uint64_t reps = flags.GetUint("reps", 3);
   const std::string protocol_filter = flags.GetString("protocol", "");
-  for (const Status& status :
-       {d.ok() ? Status::Ok() : d.status(),
-        epsilon.ok() ? Status::Ok() : epsilon.status(),
-        targets.ok() ? Status::Ok() : targets.status(),
-        reports_flag.ok() ? Status::Ok() : reports_flag.status(),
-        reps.ok() ? Status::Ok() : reps.status()}) {
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  for (const std::string& unused : flags.unused_flags()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
-    return 1;
-  }
-  if (*d < 2) {
-    std::fprintf(stderr, "error: INVALID_ARGUMENT: --d must be >= 2\n");
-    return 1;
-  }
-  if (*targets < 1 || *targets > *d) {
-    std::fprintf(stderr,
-                 "error: INVALID_ARGUMENT: --targets must be in [1, d]\n");
-    return 1;
-  }
-  if (*reps < 1) {
-    std::fprintf(stderr, "error: INVALID_ARGUMENT: --reps must be >= 1\n");
-    return 1;
-  }
-  if (*reports_flag < 0) {
-    std::fprintf(stderr, "error: INVALID_ARGUMENT: --reports must be >= 0\n");
+  if (d < 2) flags.Check(InvalidArgumentError("--d must be >= 2"));
+  if (targets < 1 || targets > d)
+    flags.Check(InvalidArgumentError("--targets must be in [1, d]"));
+  if (reps < 1) flags.Check(InvalidArgumentError("--reps must be >= 1"));
+  if (!flags.status().ok()) {
+    std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
     return 1;
   }
   const bool filter_active = !protocol_filter.empty();
@@ -123,28 +99,27 @@ int Run(int argc, char** argv) {
     filter_kind = *parsed;
   }
 
-  std::printf("batched aggregation, d=%lld eps=%g r=%lld "
+  std::printf("batched aggregation, d=%llu eps=%g r=%llu "
               "(MGA-crafted reports)\n",
-              static_cast<long long>(*d), *epsilon,
-              static_cast<long long>(*targets));
+              static_cast<unsigned long long>(d), epsilon,
+              static_cast<unsigned long long>(targets));
 
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     if (filter_active && kind != filter_kind) continue;
-    const auto proto =
-        MakeProtocol(kind, static_cast<size_t>(*d), *epsilon);
-    const size_t n = *reports_flag > 0
-                         ? static_cast<size_t>(*reports_flag)
-                         : DefaultReports(kind, static_cast<size_t>(*d));
+    const auto proto = MakeProtocol(kind, static_cast<size_t>(d), epsilon);
+    const size_t n = reports_flag > 0
+                         ? static_cast<size_t>(reports_flag)
+                         : DefaultReports(kind, static_cast<size_t>(d));
     constexpr uint64_t kCraftSeed = 1;  // same crafted reports every run
     Rng rng(kCraftSeed);
     const MgaAttack mga(MgaAttack::SampleTargets(
-        static_cast<size_t>(*d), static_cast<size_t>(*targets), rng));
+        static_cast<size_t>(d), static_cast<size_t>(targets), rng));
     ReportBatch batch;
     ReportBatch::Builder builder(batch);
     mga.CraftBatch(*proto, n, rng, builder);
 
     std::vector<uint64_t> counts(proto->domain_size(), 0);
-    const RateStats batched = MeasureRates(*reps, n, [&] {
+    const RateStats batched = MeasureRates(reps, n, [&] {
       std::fill(counts.begin(), counts.end(), 0);
       proto->AccumulateSupportsBatch(batch, counts);
     });

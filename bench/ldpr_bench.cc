@@ -148,41 +148,19 @@ int RunScenarioById(const std::string& id, const ScenarioRunOptions& options,
 
 int Run(int argc, char** argv) {
   RegisterAllScenarios();
-  const FlagParser flags(argc, argv);
+  FlagParser flags(argc, argv, {"list"});
 
   const bool list = flags.GetBool("list", false);
   const std::string scenario_list = flags.GetString("scenario", "");
   const std::string out_dir = flags.GetString("out", "");
-  const auto seed = flags.GetInt("seed", 0);
-  const auto trials = flags.GetInt("trials", 0);
-  const auto scale = flags.GetDouble("scale", 0.0);
-  const auto threads = flags.GetInt("threads", 0);
-
-  for (const Status& status :
-       {seed.ok() ? Status::Ok() : seed.status(),
-        trials.ok() ? Status::Ok() : trials.status(),
-        scale.ok() ? Status::Ok() : scale.status(),
-        threads.ok() ? Status::Ok() : threads.status()}) {
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  for (const std::string& unused : flags.unused_flags()) {
-    std::fprintf(stderr, "error: unknown flag --%s (try --list)\n",
-                 unused.c_str());
+  // 0 selects the default.
+  const uint64_t seed = flags.GetUint("seed", 0);
+  const uint64_t trials = flags.GetUint("trials", 0);
+  const double scale = flags.GetDouble("scale", 0.0);
+  const uint64_t threads = flags.GetUint("threads", 0);
+  if (!flags.status().ok()) {
+    std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
     return 1;
-  }
-  // 0 selects the default; a negative value is a typo, not "default".
-  for (const auto& [name, value] : {std::pair{"seed", *seed},
-                                    std::pair{"trials", *trials},
-                                    std::pair{"threads", *threads}}) {
-    if (value < 0) {
-      std::fprintf(stderr,
-                   "error: INVALID_ARGUMENT: --%s must be >= 0, got %lld\n",
-                   name, static_cast<long long>(value));
-      return 1;
-    }
   }
 
   if (list) {
@@ -195,17 +173,17 @@ int Run(int argc, char** argv) {
                  "       ldpr_bench --list\n");
     return 2;
   }
-  if (*threads > 0) {
+  if (threads > 0) {
     // The pool is created lazily at first parallel work, so routing
     // the flag through LDPR_THREADS reaches every "0 = auto" caller.
     // 0 keeps the auto default (the `ldpr` CLI's convention).
-    setenv("LDPR_THREADS", std::to_string(*threads).c_str(), 1);
+    setenv("LDPR_THREADS", std::to_string(threads).c_str(), 1);
   }
 
   ScenarioRunOptions options;
-  options.seed = static_cast<uint64_t>(*seed);
-  options.trials = static_cast<size_t>(*trials);
-  options.scale = *scale;
+  options.seed = seed;
+  options.trials = static_cast<size_t>(trials);
+  options.scale = scale;
 
   std::vector<std::string> ids = SplitCommaList(scenario_list);
   if (ids.size() == 1 && ids[0] == "all") {

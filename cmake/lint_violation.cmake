@@ -2,7 +2,7 @@
 # seeded violation per rule in a scratch tree, run the real ldpr_lint
 # binary, and require exit 1 with a finding naming the file, the line,
 # and the rule id.  RULE=fix instead exercises the
-# --fix=header-guards round trip (dry-run gates, --apply=1 rewrites,
+# --fix=header-guards round trip (dry-run gates, a bare --apply rewrites,
 # the rewritten tree lints clean and a second dry-run is empty).
 #
 # Usage: cmake -DLDPR_LINT=<path> -DRULE=<R6|R7|R8|fix>
@@ -57,10 +57,10 @@ if(RULE STREQUAL "fix")
   endif()
 
   execute_process(COMMAND ${LDPR_LINT} --repo=${tree} --allowlist=
-                          --fix=header-guards --apply=1 src
+                          --fix=header-guards --apply src
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "--apply=1 failed (rc=${rc})\n${out}")
+    message(FATAL_ERROR "--apply failed (rc=${rc})\n${out}")
   endif()
   file(READ "${tree}/src/util/a.h" rewritten)
   string(FIND "${rewritten}" "LDPR_UTIL_A_H_" renamed)

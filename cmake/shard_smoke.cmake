@@ -78,9 +78,11 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "strict shard-merge accepted a torn partial")
 endif()
 
+# The CI form: the bare boolean --allow_missing directly before the
+# first file operand, which must stay an operand.
 execute_process(COMMAND ${LDPR_CLI} shard-merge ${spec} --allow_missing
-                        --out=${WORK_DIR}/torn-lenient
                         ${WORK_DIR}/torn.jsonl ${partials}
+                        --out=${WORK_DIR}/torn-lenient
                 RESULT_VARIABLE rc OUTPUT_VARIABLE lenient_out
                 ERROR_VARIABLE lenient_err)
 if(NOT rc EQUAL 0)

@@ -7,37 +7,77 @@
 
 #include "data/loader.h"
 #include "data/synthetic.h"
+#include "ldp/factory.h"
+#include "runner/scenario_runner.h"
+#include "util/thread_pool.h"
 
 namespace ldpr {
 namespace cli {
 
-StatusOr<Dataset> ParseDatasetFlags(const FlagParser& flags) {
-  const std::string csv = flags.GetString("csv", "");
-  if (!csv.empty()) {
-    auto loaded = LoadItemCsv(csv);
+int ReportError(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 1;
+}
+
+TrialFlags ReadTrialFlags(FlagParser& flags) {
+  TrialFlags trial;
+  const auto protocol = ParseProtocolKind(flags.GetString("protocol", "GRR"));
+  flags.Check(protocol.status());
+  trial.protocol = protocol.value_or(trial.protocol);
+  trial.epsilon = flags.GetDouble("epsilon", trial.epsilon);
+  trial.beta = flags.GetDouble("beta", trial.beta);
+  trial.eta = flags.GetDouble("eta", trial.eta);
+  trial.targets = flags.GetUint("targets", trial.targets);
+  trial.seed = flags.GetUint("seed", trial.seed);
+  trial.scale = flags.GetDouble("scale", trial.scale);
+  if (!(trial.scale > 0.0 && trial.scale <= 1.0))
+    flags.Check(InvalidArgumentError("--scale must be in (0, 1]"));
+  return trial;
+}
+
+DatasetFlags ReadDatasetFlags(FlagParser& flags) {
+  DatasetFlags dataset;
+  // Flags the selected data cannot take stay unread, so giving them is
+  // an unknown-flag error: all shape flags for a CSV, --zipf_s for a
+  // generator other than zipf.
+  dataset.csv = flags.GetString("csv", "");
+  if (!dataset.csv.empty()) return dataset;
+  dataset.name = flags.GetString("dataset", "ipums");
+  if (flags.Has("d")) {
+    dataset.d = flags.GetUint("d", 0);
+    if (dataset.d < 2) flags.Check(InvalidArgumentError("--d must be >= 2"));
+  }
+  if (flags.Has("n")) {
+    dataset.n = flags.GetUint("n", 0);
+    if (dataset.n < 1) flags.Check(InvalidArgumentError("--n must be >= 1"));
+  }
+  if (dataset.name == "zipf" && flags.Has("zipf_s"))
+    dataset.zipf_s = flags.GetDouble("zipf_s", 1.0);
+  return dataset;
+}
+
+StatusOr<Dataset> ResolveDatasetFlags(const DatasetFlags& dataset,
+                                      double scale) {
+  if (!dataset.csv.empty()) {
+    auto loaded = LoadItemCsv(dataset.csv);
     if (!loaded.ok()) return loaded.status();
-    return std::move(loaded).value().dataset;
+    return ScaleDataset(loaded->dataset, scale);
   }
-  const std::string name = flags.GetString("dataset", "ipums");
-  const auto d = flags.GetInt("d", 102);
-  const auto n = flags.GetInt("n", 100000);
-  const auto s = flags.GetDouble("zipf_s", 1.0);
-  if (!d.ok()) return d.status();
-  if (!n.ok()) return n.status();
-  if (!s.ok()) return s.status();
-  if (*d < 2) return InvalidArgumentError("--d must be >= 2");
-  if (*n < 1) return InvalidArgumentError("--n must be >= 1");
-  if (name == "ipums") return MakeIpumsLike();
-  if (name == "fire") return MakeFireLike();
-  if (name == "zipf") {
-    return MakeZipfDataset("zipf", static_cast<size_t>(*d),
-                           static_cast<uint64_t>(*n), *s, /*shuffle_seed=*/17);
+  if (dataset.zipf_s) {
+    // The exponent is the one generator knob ResolveBenchDataset does
+    // not take; the shape defaults are the synthetic generators'.
+    return ScaleDataset(
+        MakeZipfDataset("zipf", dataset.d != 0 ? dataset.d : 102,
+                        dataset.n != 0 ? dataset.n : 100000, *dataset.zipf_s,
+                        /*shuffle_seed=*/17),
+        scale);
   }
-  if (name == "uniform") {
-    return MakeUniformDataset("uniform", static_cast<size_t>(*d),
-                              static_cast<uint64_t>(*n));
-  }
-  return InvalidArgumentError("unknown dataset: " + name);
+  auto resolved = ResolveBenchDataset(dataset.name, scale, dataset.d,
+                                      dataset.n);
+  if (!resolved.ok())
+    return InvalidArgumentError("--dataset=" + dataset.name + ": " +
+                                resolved.status().message());
+  return resolved;
 }
 
 StatusOr<std::unique_ptr<ResultSink>> MakeRunSink(
@@ -101,9 +141,14 @@ int Main(int argc, char** argv) {
     PrintUsage(stderr);
     return 1;
   }
+  if (const auto threads = ThreadCountFromEnv(); !threads.ok())
+    return ReportError(threads.status());
   // The subcommand's FlagParser sees argv[1] as its program name, so
   // file operands of shard-merge land in positional().
-  const FlagParser flags(argc - 1, argv + 1);
+  FlagParser flags(argc - 1, argv + 1,
+                   command == "shard-merge"
+                       ? std::vector<std::string>{"allow_missing", "inprocess"}
+                       : std::vector<std::string>{});
   if (command == "run") return RunCommand(flags);
   if (command == "stream") return StreamCommand(flags);
   if (command == "shard-worker") return ShardWorkerCommand(flags);

@@ -11,11 +11,8 @@
 namespace ldpr {
 namespace cli {
 
-int ListCommand(const FlagParser& flags) {
-  for (const std::string& unused : flags.unused_flags()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
-    return 1;
-  }
+int ListCommand(FlagParser& flags) {
+  if (!flags.status().ok()) return ReportError(flags.status());
   std::printf(
       "commands:\n"
       "  run           --protocol --attack --dataset|--csv --epsilon --beta\n"

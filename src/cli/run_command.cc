@@ -34,90 +34,43 @@
 namespace ldpr {
 namespace cli {
 
-int RunCommand(const FlagParser& flags) {
-  const auto protocol_or =
-      ParseProtocolKind(flags.GetString("protocol", "GRR"));
-  const auto attack_or = ParseAttackKind(flags.GetString("attack", "AA"));
-  auto dataset_or = ParseDatasetFlags(flags);
-  const auto epsilon = flags.GetDouble("epsilon", 0.5);
-  const auto beta = flags.GetDouble("beta", 0.05);
-  const auto eta = flags.GetDouble("eta", 0.2);
-  const auto targets = flags.GetInt("targets", 10);
-  const auto trials = flags.GetInt("trials", 5);
-  const auto seed = flags.GetInt("seed", 1);
-  const auto scale = flags.GetDouble("scale", 1.0);
-  const auto top_k = flags.GetInt("top_k", 10);
-  const auto threads = flags.GetInt("threads", 0);
+int RunCommand(FlagParser& flags) {
+  const TrialFlags trial = ReadTrialFlags(flags);
+  const auto attack = ParseAttackKind(flags.GetString("attack", "AA"));
+  flags.Check(attack.status());
+  const DatasetFlags dataset_flags = ReadDatasetFlags(flags);
+  const uint64_t trials = flags.GetUint("trials", 5);
+  const uint64_t top_k = flags.GetUint("top_k", 10);
+  const uint64_t threads = flags.GetUint("threads", 0);
   const std::string out_path = flags.GetString("out", "");
-
-  for (const Status& status :
-       {protocol_or.ok() ? Status::Ok() : protocol_or.status(),
-        attack_or.ok() ? Status::Ok() : attack_or.status(),
-        dataset_or.ok() ? Status::Ok() : dataset_or.status(),
-        epsilon.ok() ? Status::Ok() : epsilon.status(),
-        beta.ok() ? Status::Ok() : beta.status(),
-        eta.ok() ? Status::Ok() : eta.status(),
-        targets.ok() ? Status::Ok() : targets.status(),
-        trials.ok() ? Status::Ok() : trials.status(),
-        seed.ok() ? Status::Ok() : seed.status(),
-        scale.ok() ? Status::Ok() : scale.status(),
-        top_k.ok() ? Status::Ok() : top_k.status(),
-        threads.ok() ? Status::Ok() : threads.status()}) {
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  for (const std::string& unused : flags.unused_flags()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
-    return 1;
-  }
-
-  ExperimentConfig config;
-  config.protocol = *protocol_or;
-  config.epsilon = *epsilon;
-  config.pipeline.attack = *attack_or;
-  config.pipeline.beta = *beta;
-  config.pipeline.num_targets = static_cast<size_t>(*targets);
-  config.eta = *eta;
-  config.trials = static_cast<size_t>(*trials);
-  config.seed = static_cast<uint64_t>(*seed);
-  config.threads = static_cast<size_t>(*threads);
-
   // Surface bad knobs as status errors before any CHECK-guarded
   // library code can abort on them (empty/scaled-away datasets, zero
   // trials, out-of-range epsilon/beta/eta/targets, ...).
-  if (!(*scale > 0.0 && *scale <= 1.0)) {
-    std::fprintf(stderr,
-                 "error: INVALID_ARGUMENT: --scale must be in (0, 1]\n");
-    return 1;
-  }
-  if (*top_k < 1) {
-    std::fprintf(stderr, "error: INVALID_ARGUMENT: --top_k must be >= 1\n");
-    return 1;
-  }
-  if (*trials < 1) {
-    std::fprintf(stderr, "error: INVALID_ARGUMENT: --trials must be >= 1\n");
-    return 1;
-  }
-  if (*threads < 0) {
-    std::fprintf(stderr,
-                 "error: INVALID_ARGUMENT: --threads must be >= 0 "
-                 "(0 = auto)\n");
-    return 1;
-  }
-  const Dataset dataset = ScaleDataset(*dataset_or, *scale);
+  if (top_k < 1) flags.Check(InvalidArgumentError("--top_k must be >= 1"));
+  if (trials < 1) flags.Check(InvalidArgumentError("--trials must be >= 1"));
+  if (!flags.status().ok()) return ReportError(flags.status());
+
+  ExperimentConfig config;
+  config.protocol = trial.protocol;
+  config.epsilon = trial.epsilon;
+  config.pipeline.attack = *attack;
+  config.pipeline.beta = trial.beta;
+  config.pipeline.num_targets = static_cast<size_t>(trial.targets);
+  config.eta = trial.eta;
+  config.trials = static_cast<size_t>(trials);
+  config.seed = trial.seed;
+  config.threads = static_cast<size_t>(threads);
+
+  const auto dataset_or = ResolveDatasetFlags(dataset_flags, trial.scale);
+  if (!dataset_or.ok()) return ReportError(dataset_or.status());
+  const Dataset& dataset = *dataset_or;
   if (const Status valid = ValidateExperimentInputs(config, dataset);
       !valid.ok()) {
-    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
-    return 1;
+    return ReportError(valid);
   }
 
   auto sink_or = MakeRunSink(out_path, "cli");
-  if (!sink_or.ok()) {
-    std::fprintf(stderr, "error: %s\n", sink_or.status().ToString().c_str());
-    return 1;
-  }
+  if (!sink_or.ok()) return ReportError(sink_or.status());
   ResultSink& sink = **sink_or;
 
   std::printf("ldpr run: %s under %s on %s (d=%zu, n=%llu), eps=%g, "
@@ -155,10 +108,12 @@ int RunCommand(const FlagParser& flags) {
       RunPoisoningTrial(*protocol, config.pipeline, dataset, rng);
   RecoverOptions ropts;
   ropts.eta = config.eta;
+  // The Eq. (28) form RunExperiment used for the table's LDPRecover*.
+  ropts.paper_literal_subdomain_sum = config.paper_literal_subdomain_sum;
   if (!t.attack_targets.empty()) ropts.known_targets = t.attack_targets;
   const LdpRecover recover(*protocol, ropts);
   const auto recovered = recover.Recover(t.poisoned_freqs);
-  const size_t k = static_cast<size_t>(*top_k);
+  const size_t k = static_cast<size_t>(top_k);
   std::printf("top-%zu displacement vs truth: poisoned %.2f, recovered %.2f\n",
               k, TopKDisplacement(t.true_freqs, t.poisoned_freqs, k),
               TopKDisplacement(t.true_freqs, recovered, k));
@@ -170,11 +125,8 @@ int RunCommand(const FlagParser& flags) {
                 t.attack_targets.size());
   }
 
-  const Status finish = sink.Finish();
-  if (!finish.ok()) {
-    std::fprintf(stderr, "error: %s\n", finish.ToString().c_str());
-    return 1;
-  }
+  if (const Status finish = sink.Finish(); !finish.ok())
+    return ReportError(finish);
   if (!out_path.empty()) std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

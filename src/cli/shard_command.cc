@@ -46,60 +46,36 @@ namespace ldpr {
 namespace cli {
 namespace {
 
-// Parses the shared spec flags.  Every flag has the library default,
-// so a worker and a merger launched with the same explicit flags
-// always agree on the spec (and therefore on chunk geometry).
-StatusOr<ShardTaskSpec> ParseShardSpec(const FlagParser& flags) {
+// Reads the spec flags, latching a bad value in `flags`.  Every flag
+// has the library default, so a worker and a merger launched with the
+// same explicit flags always agree on the spec (and therefore on
+// chunk geometry).
+ShardTaskSpec ReadShardSpec(FlagParser& flags) {
+  const TrialFlags trial = ReadTrialFlags(flags);
   ShardTaskSpec spec;
-  const auto protocol = ParseProtocolKind(flags.GetString("protocol", "GRR"));
-  if (!protocol.ok()) return protocol.status();
-  spec.protocol = *protocol;
+  spec.protocol = trial.protocol;
+  spec.epsilon = trial.epsilon;
+  spec.beta = trial.beta;
+  spec.eta = trial.eta;
+  spec.num_targets = trial.targets;
+  spec.seed = trial.seed;
+  spec.scale = trial.scale;
+  if (trial.targets < 1)
+    flags.Check(InvalidArgumentError("--targets must be >= 1"));
   const auto attack = ParseAttackKind(flags.GetString("attack", "none"));
-  if (!attack.ok()) return attack.status();
-  spec.attack = *attack;
+  flags.Check(attack.status());
+  spec.attack = attack.value_or(spec.attack);
   if (!flags.GetString("csv", "").empty())
-    return InvalidArgumentError(
+    flags.Check(InvalidArgumentError(
         "shard commands need a named dataset generator, not --csv: every "
-        "process must rebuild the population from the spec alone");
-  spec.dataset = flags.GetString("dataset", "zipf");
-  const auto epsilon = flags.GetDouble("epsilon", spec.epsilon);
-  if (!epsilon.ok()) return epsilon.status();
-  spec.epsilon = *epsilon;
-  const auto d = flags.GetInt("d", 0);
-  if (!d.ok()) return d.status();
-  if (*d < 0) return InvalidArgumentError("--d must be >= 0");
-  spec.d_override = static_cast<uint64_t>(*d);
-  const auto n = flags.GetInt("n", 0);
-  if (!n.ok()) return n.status();
-  if (*n < 0) return InvalidArgumentError("--n must be >= 0");
-  spec.n_override = static_cast<uint64_t>(*n);
-  const auto scale = flags.GetDouble("scale", 1.0);
-  if (!scale.ok()) return scale.status();
-  if (!(*scale > 0.0 && *scale <= 1.0))
-    return InvalidArgumentError("--scale must be in (0, 1]");
-  spec.scale = *scale;
-  const auto beta = flags.GetDouble("beta", spec.beta);
-  if (!beta.ok()) return beta.status();
-  spec.beta = *beta;
-  const auto targets = flags.GetInt("targets", 10);
-  if (!targets.ok()) return targets.status();
-  if (*targets < 1) return InvalidArgumentError("--targets must be >= 1");
-  spec.num_targets = static_cast<uint64_t>(*targets);
-  const auto eta = flags.GetDouble("eta", spec.eta);
-  if (!eta.ok()) return eta.status();
-  spec.eta = *eta;
-  const auto seed = flags.GetInt("seed", 1);
-  if (!seed.ok()) return seed.status();
-  spec.seed = static_cast<uint64_t>(*seed);
-  const auto upc = flags.GetInt("users_per_chunk", 0);
-  if (!upc.ok()) return upc.status();
-  if (*upc < 0) return InvalidArgumentError("--users_per_chunk must be >= 0");
-  if (*upc > 0) spec.chunking.users_per_chunk = static_cast<uint64_t>(*upc);
-  const auto rpc = flags.GetInt("reports_per_chunk", 0);
-  if (!rpc.ok()) return rpc.status();
-  if (*rpc < 0)
-    return InvalidArgumentError("--reports_per_chunk must be >= 0");
-  if (*rpc > 0) spec.chunking.reports_per_chunk = static_cast<uint64_t>(*rpc);
+        "process must rebuild the population from the spec alone"));
+  spec.dataset = flags.GetString("dataset", spec.dataset);
+  spec.d_override = flags.GetUint("d", 0);
+  spec.n_override = flags.GetUint("n", 0);
+  const uint64_t upc = flags.GetUint("users_per_chunk", 0);
+  if (upc > 0) spec.chunking.users_per_chunk = upc;
+  const uint64_t rpc = flags.GetUint("reports_per_chunk", 0);
+  if (rpc > 0) spec.chunking.reports_per_chunk = rpc;
   return spec;
 }
 
@@ -115,78 +91,47 @@ StatusOr<ShardTaskPlan> ResolvePlan(const ShardTaskSpec& spec,
   return plan;
 }
 
-int FailUnusedFlags(const FlagParser& flags) {
-  for (const std::string& unused : flags.unused_flags()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
-int ShardWorkerCommand(const FlagParser& flags) {
-  auto spec = ParseShardSpec(flags);
-  const auto workers = flags.GetInt("workers", 1);
-  const auto worker = flags.GetInt("worker", 0);
+int ShardWorkerCommand(FlagParser& flags) {
+  const ShardTaskSpec spec = ReadShardSpec(flags);
+  const uint64_t workers = flags.GetUint("workers", 1);
+  const uint64_t worker = flags.GetUint("worker", 0);
   const std::string out_path = flags.GetString("out", "-");
-  for (const Status& status :
-       {spec.ok() ? Status::Ok() : spec.status(),
-        workers.ok() ? Status::Ok() : workers.status(),
-        worker.ok() ? Status::Ok() : worker.status()}) {
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  if (int rc = FailUnusedFlags(flags); rc != 0) return rc;
+  if (!flags.status().ok()) return ReportError(flags.status());
   if (!flags.positional().empty()) {
     std::fprintf(stderr, "error: shard-worker takes no positional operands\n");
     return 1;
   }
-  if (*workers < 1 || *worker < 0 || *worker >= *workers) {
+  if (workers < 1 || worker >= workers) {
     std::fprintf(stderr,
                  "error: need --workers >= 1 and 0 <= --worker < workers\n");
     return 1;
   }
 
-  auto plan = ResolvePlan(*spec, nullptr);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "error: %s\n", plan.status().ToString().c_str());
-    return 1;
-  }
-  const std::vector<PartialRecord> records = ComputeWorkerPartials(
-      *plan, static_cast<uint64_t>(*worker), static_cast<uint64_t>(*workers));
+  auto plan = ResolvePlan(spec, nullptr);
+  if (!plan.ok()) return ReportError(plan.status());
+  const std::vector<PartialRecord> records =
+      ComputeWorkerPartials(*plan, worker, workers);
   const Status written = WritePartialFile(out_path, records);
-  if (!written.ok()) {
-    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
-    return 1;
-  }
+  if (!written.ok()) return ReportError(written);
   if (out_path != "-") {
     std::fprintf(stderr,
-                 "shard-worker %lld/%lld: %zu partial record(s) -> %s\n",
-                 static_cast<long long>(*worker),
-                 static_cast<long long>(*workers), records.size(),
+                 "shard-worker %llu/%llu: %zu partial record(s) -> %s\n",
+                 static_cast<unsigned long long>(worker),
+                 static_cast<unsigned long long>(workers), records.size(),
                  out_path.c_str());
   }
   return 0;
 }
 
-int ShardMergeCommand(const FlagParser& flags) {
-  auto spec = ParseShardSpec(flags);
-  const auto workers = flags.GetInt("workers", 1);
+int ShardMergeCommand(FlagParser& flags) {
+  const ShardTaskSpec spec = ReadShardSpec(flags);
+  const uint64_t workers = flags.GetUint("workers", 1);
   const bool inprocess = flags.GetBool("inprocess", false);
   const bool allow_missing = flags.GetBool("allow_missing", false);
   const std::string out_dir = flags.GetString("out", "");
-  for (const Status& status :
-       {spec.ok() ? Status::Ok() : spec.status(),
-        workers.ok() ? Status::Ok() : workers.status()}) {
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  if (int rc = FailUnusedFlags(flags); rc != 0) return rc;
+  if (!flags.status().ok()) return ReportError(flags.status());
   if (inprocess && !flags.positional().empty()) {
     std::fprintf(stderr,
                  "error: --inprocess computes its own partials; drop the "
@@ -199,17 +144,14 @@ int ShardMergeCommand(const FlagParser& flags) {
   }
 
   Dataset dataset;
-  auto plan = ResolvePlan(*spec, &dataset);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "error: %s\n", plan.status().ToString().c_str());
-    return 1;
-  }
+  auto plan = ResolvePlan(spec, &dataset);
+  if (!plan.ok()) return ReportError(plan.status());
 
   StatusOr<MergedPartials> merged = [&]() -> StatusOr<MergedPartials> {
     if (inprocess) {
-      if (*workers < 1)
+      if (workers < 1)
         return InvalidArgumentError("--workers must be >= 1 for --inprocess");
-      return RunShardTaskInProcess(*plan, static_cast<uint64_t>(*workers));
+      return RunShardTaskInProcess(*plan, workers);
     }
     std::vector<std::string> lines;
     for (const std::string& path : flags.positional()) {
@@ -221,10 +163,7 @@ int ShardMergeCommand(const FlagParser& flags) {
     options.allow_missing = allow_missing;
     return MergeShardPartials(*plan, lines, options);
   }();
-  if (!merged.ok()) {
-    std::fprintf(stderr, "error: %s\n", merged.status().ToString().c_str());
-    return 1;
-  }
+  if (!merged.ok()) return ReportError(merged.status());
 
   const ShardOutcome outcome = ComputeShardOutcome(*plan, dataset, *merged);
   const MergeStats& stats = merged->stats;
@@ -246,10 +185,7 @@ int ShardMergeCommand(const FlagParser& flags) {
   if (!out_dir.empty()) {
     const Status written =
         WriteShardResultTree(out_dir, *plan, dataset, outcome, stats);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
-      return 1;
-    }
+    if (!written.ok()) return ReportError(written);
     std::printf("wrote %s/{results.csv,results.jsonl,manifest.json}\n",
                 out_dir.c_str());
   }

@@ -36,84 +36,48 @@ StatusOr<WaveShape> ParseWaveShape(const std::string& name) {
 
 }  // namespace
 
-int StreamCommand(const FlagParser& flags) {
-  const auto protocol_or =
-      ParseProtocolKind(flags.GetString("protocol", "GRR"));
-  auto dataset_or = ParseDatasetFlags(flags);
-  const auto epsilon = flags.GetDouble("epsilon", 0.5);
-  const auto beta = flags.GetDouble("beta", 0.05);
-  const auto eta = flags.GetDouble("eta", 0.2);
-  const auto targets = flags.GetInt("targets", 10);
-  const auto seed = flags.GetInt("seed", 1);
-  const auto scale = flags.GetDouble("scale", 1.0);
-  const auto window = flags.GetInt("window", 0);
-  const auto stride = flags.GetInt("stride", 0);
-  const auto wave_or = ParseWaveShape(flags.GetString("wave", "constant"));
+int StreamCommand(FlagParser& flags) {
+  const TrialFlags trial = ReadTrialFlags(flags);
+  const DatasetFlags dataset_flags = ReadDatasetFlags(flags);
+  const uint64_t window = flags.GetUint("window", 0);
+  const uint64_t stride = flags.GetUint("stride", 0);
+  const auto wave = ParseWaveShape(flags.GetString("wave", "constant"));
+  flags.Check(wave.status());
   const std::string out_path = flags.GetString("out", "");
-
-  for (const Status& status :
-       {protocol_or.ok() ? Status::Ok() : protocol_or.status(),
-        dataset_or.ok() ? Status::Ok() : dataset_or.status(),
-        epsilon.ok() ? Status::Ok() : epsilon.status(),
-        beta.ok() ? Status::Ok() : beta.status(),
-        eta.ok() ? Status::Ok() : eta.status(),
-        targets.ok() ? Status::Ok() : targets.status(),
-        seed.ok() ? Status::Ok() : seed.status(),
-        scale.ok() ? Status::Ok() : scale.status(),
-        window.ok() ? Status::Ok() : window.status(),
-        stride.ok() ? Status::Ok() : stride.status(),
-        wave_or.ok() ? Status::Ok() : wave_or.status()}) {
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  for (const std::string& unused : flags.unused_flags()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
-    return 1;
-  }
-  if (!(*scale > 0.0 && *scale <= 1.0)) {
-    std::fprintf(stderr,
-                 "error: INVALID_ARGUMENT: --scale must be in (0, 1]\n");
-    return 1;
-  }
-  if (const Status valid = ValidateEpsilon(*protocol_or, *epsilon);
+  if (!flags.status().ok()) return ReportError(flags.status());
+  if (const Status valid = ValidateEpsilon(trial.protocol, trial.epsilon);
       !valid.ok()) {
-    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
-    return 1;
+    return ReportError(valid);
   }
-  const Dataset dataset = ScaleDataset(*dataset_or, *scale);
+  const auto dataset_or = ResolveDatasetFlags(dataset_flags, trial.scale);
+  if (!dataset_or.ok()) return ReportError(dataset_or.status());
+  const Dataset& dataset = *dataset_or;
 
   StreamSpec spec;
   spec.total_reports = dataset.num_users();
-  spec.window_reports = *window > 0
-                            ? static_cast<size_t>(*window)
+  spec.window_reports = window > 0
+                            ? static_cast<size_t>(window)
                             : std::max<size_t>(1, spec.total_reports / 10);
-  spec.stride_reports = *stride > 0 ? static_cast<size_t>(*stride) : 0;
+  spec.stride_reports = static_cast<size_t>(stride);
   spec.item_counts = dataset.item_counts;
-  spec.wave = *wave_or;
-  spec.attacker_fraction = spec.wave == WaveShape::kNone ? 0.0 : *beta;
-  spec.num_targets = static_cast<size_t>(*targets);
+  spec.wave = *wave;
+  spec.attacker_fraction = spec.wave == WaveShape::kNone ? 0.0 : trial.beta;
+  spec.num_targets = static_cast<size_t>(trial.targets);
   if (spec.wave == WaveShape::kWave) {
     spec.wave_start = spec.total_reports * 3 / 10;
     spec.wave_end = spec.total_reports * 7 / 10;
   }
-  if (const Status valid = ValidateStreamSpec(spec); !valid.ok()) {
-    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
-    return 1;
-  }
+  if (const Status valid = ValidateStreamSpec(spec); !valid.ok())
+    return ReportError(valid);
 
   auto sink_or = MakeRunSink(out_path, "cli-stream");
-  if (!sink_or.ok()) {
-    std::fprintf(stderr, "error: %s\n", sink_or.status().ToString().c_str());
-    return 1;
-  }
+  if (!sink_or.ok()) return ReportError(sink_or.status());
   ResultSink& sink = **sink_or;
 
   const auto protocol =
-      MakeProtocol(*protocol_or, dataset.domain_size(), *epsilon);
+      MakeProtocol(trial.protocol, dataset.domain_size(), trial.epsilon);
   StreamEngineOptions options;
-  options.recover.eta = *eta;
+  options.recover.eta = trial.eta;
   const double base = ApproxGenuineSuspicionRate(*protocol, spec.num_targets);
   const double peak =
       spec.attacker_fraction > 0.0 ? spec.attacker_fraction : 0.25;
@@ -121,14 +85,15 @@ int StreamCommand(const FlagParser& flags) {
 
   std::printf("ldpr stream: %s on %s (d=%zu, n=%llu), eps=%g, "
               "wave=%s, beta=%g, window=%zu, stride=%zu\n\n",
-              ProtocolKindName(*protocol_or), dataset.name.c_str(),
+              ProtocolKindName(trial.protocol), dataset.name.c_str(),
               dataset.domain_size(),
-              static_cast<unsigned long long>(spec.total_reports), *epsilon,
+              static_cast<unsigned long long>(spec.total_reports),
+              trial.epsilon,
               WaveShapeName(spec.wave), spec.attacker_fraction,
               spec.window_reports, spec.stride_reports);
 
   const StreamSummary summary =
-      RunStream(*protocol, spec, options, static_cast<uint64_t>(*seed));
+      RunStream(*protocol, spec, options, trial.seed);
 
   sink.BeginTable("Streaming windows",
                   {"Reports", "Attackers", "MSE", "RecMSE", "Detected"});
@@ -152,11 +117,8 @@ int StreamCommand(const FlagParser& flags) {
               summary.peak_buffered_reports, summary.mean_mse_estimate,
               summary.mean_mse_recovered);
 
-  const Status finish = sink.Finish();
-  if (!finish.ok()) {
-    std::fprintf(stderr, "error: %s\n", finish.ToString().c_str());
-    return 1;
-  }
+  if (const Status finish = sink.Finish(); !finish.ok())
+    return ReportError(finish);
   if (!out_path.empty()) std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

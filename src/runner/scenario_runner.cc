@@ -5,6 +5,7 @@
 
 #include "data/synthetic.h"
 #include "sim/experiment.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/metrics.h"
@@ -19,24 +20,21 @@ namespace {
 StatusOr<double> DefaultBenchScale() {
   const char* env = std::getenv("LDPR_BENCH_SCALE");
   if (env == nullptr) return 0.05;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !std::isfinite(v))
+  const auto v = ParseNumber("LDPR_BENCH_SCALE", env);
+  if (!v.ok()) return v.status();
+  if (!std::isfinite(*v))
     return InvalidArgumentError(
-        std::string("LDPR_BENCH_SCALE expects a number, got: ") + env);
-  return Clamp(v, 1e-4, 1.0);
+        std::string("LDPR_BENCH_SCALE expects a finite number, got: ") + env);
+  return Clamp(*v, 1e-4, 1.0);
 }
 
 // LDPR_BENCH_TRIALS, at least 1; default 3.
 StatusOr<size_t> DefaultBenchTrials() {
   const char* env = std::getenv("LDPR_BENCH_TRIALS");
   if (env == nullptr) return size_t{3};
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0')
-    return InvalidArgumentError(
-        std::string("LDPR_BENCH_TRIALS expects an integer, got: ") + env);
-  return v < 1 ? size_t{1} : static_cast<size_t>(v);
+  const auto v = ParseInteger("LDPR_BENCH_TRIALS", env);
+  if (!v.ok()) return v.status();
+  return *v < 1 ? size_t{1} : static_cast<size_t>(*v);
 }
 
 // The registered bench dataset generators.  A generator owns its
@@ -240,7 +238,9 @@ StatusOr<ScenarioRunReport> RunScenario(const Scenario& scenario,
     if (!env_scale.ok()) return env_scale.status();
     scale = *env_scale;
   }
-  const size_t threads = DefaultThreadCount();
+  const auto threads_or = ThreadCountFromEnv();
+  if (!threads_or.ok()) return threads_or.status();
+  const size_t threads = *threads_or;
 
   // Grid scenarios lower before the banner renders: a dataset whose
   // every row overrides the shape (the dataset-axis sweeps) never

@@ -56,8 +56,12 @@ struct ExperimentConfig {
   bool run_detection = true;
   /// Evaluate LDPRecover*.
   bool run_star = true;
-  /// Reproduce the paper's literal Eq. (28); see
-  /// recover/malicious_stats.h.
+  /// Reproduce the paper's literal Eq. (28) in LDPRecover*; see
+  /// recover/malicious_stats.h.  Defaults to the exact form, unlike
+  /// RecoverOptions (literal), and no scenario sets it: every grid
+  /// scenario's LDPRecover* and `ldpr run` use the exact form, while
+  /// ext_protocols builds RecoverOptions by hand and uses the literal
+  /// one (docs/architecture.md, "Eq. (28)").
   bool paper_literal_subdomain_sum = false;
   /// RunExperiment's worker-thread budget, shared by the trial
   /// fan-out and the within-trial aggregation shards: 0 = auto

@@ -5,6 +5,7 @@
 #include <exception>
 #include <utility>
 
+#include "util/flags.h"
 #include "util/logging.h"
 
 namespace ldpr {
@@ -105,15 +106,18 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   if (error) std::rethrow_exception(error);
 }
 
-size_t DefaultThreadCount() {
+StatusOr<size_t> ThreadCountFromEnv() {
   const char* env = std::getenv("LDPR_THREADS");
   if (env != nullptr) {
-    const long v = std::atol(env);
-    return v < 1 ? 1 : static_cast<size_t>(v);
+    const auto v = ParseInteger("LDPR_THREADS", env);
+    if (!v.ok()) return v.status();
+    return *v < 1 ? size_t{1} : static_cast<size_t>(*v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw < 1 ? 1 : static_cast<size_t>(hw);
+  return hw < 1 ? size_t{1} : static_cast<size_t>(hw);
 }
+
+size_t DefaultThreadCount() { return ThreadCountFromEnv().value_or(1); }
 
 ThreadBudget SplitThreadBudget(size_t num_threads, size_t n) {
   if (num_threads == 0) num_threads = DefaultThreadCount();

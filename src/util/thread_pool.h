@@ -45,6 +45,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/status.h"
+
 namespace ldpr {
 
 class ThreadPool {
@@ -94,7 +96,12 @@ class ThreadPool {
 };
 
 /// LDPR_THREADS if set (clamped to >= 1), else hardware concurrency,
-/// else 1.  This is the pool size every "0 = auto" caller gets.
+/// else 1; InvalidArgument naming LDPR_THREADS when it is set but is
+/// not an integer.  Entry points call this to reject such a value.
+StatusOr<size_t> ThreadCountFromEnv();
+
+/// ThreadCountFromEnv(), or 1 when LDPR_THREADS does not parse.  This
+/// is the pool size every "0 = auto" caller gets.
 size_t DefaultThreadCount();
 
 /// The process-wide pool the free ParallelFor schedules on, created

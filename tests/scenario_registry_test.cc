@@ -383,6 +383,32 @@ TEST_F(ScenarioRegistryTest, BenchEnvKnobsRejectGarbageAndClampNumbers) {
   }
 }
 
+TEST_F(ScenarioRegistryTest, ThreadsEnvRejectsGarbageAndClampsNumbers) {
+  const Scenario* table1 = ScenarioRegistry::Global().Find("table1");
+  ASSERT_NE(table1, nullptr);
+  RecordingSink sink;
+  ScenarioRunOptions options;
+  options.trials = 1;
+  options.scale = 0.002;
+
+  for (const char* garbage : {"abc", "4abc", ""}) {
+    ScopedEnv threads("LDPR_THREADS", garbage);
+    const auto report = RunScenario(*table1, options, sink);
+    ASSERT_FALSE(report.ok()) << "LDPR_THREADS=" << garbage;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(report.status().message().find("LDPR_THREADS"),
+              std::string::npos)
+        << report.status().ToString();
+  }
+  // Numbers keep the documented clamp to at least one thread.
+  for (const char* low : {"0", "-3"}) {
+    ScopedEnv threads("LDPR_THREADS", low);
+    const auto report = RunScenario(*table1, options, sink);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->info.threads, 1u);
+  }
+}
+
 struct CellTableRun {
   std::string log;
   ScenarioRunReport report;

@@ -12,11 +12,13 @@
 //
 // Exit codes: 0 = trees agree under the chosen mode, 1 = violations
 // (a compact drift table plus the violating cells is printed),
-// 2 = usage or load errors.  Default mode is --exact.
+// 2 = usage or load errors.  Default mode is --exact.  --exact and
+// --quiet may appear bare (never taking the tree path after them) or
+// as =true/=false/=1/=0; the other flags take --name=value or
+// --name value.
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "runner/result_diff.h"
 #include "util/flags.h"
@@ -38,35 +40,15 @@ int Usage() {
 }
 
 int Run(int argc, char** argv) {
-  // FlagParser's "--name value" form would swallow a tree path after
-  // a bare boolean ("--exact A B"); pin the booleans to "=1" first.
-  std::vector<std::string> args(argv, argv + argc);
-  for (std::string& arg : args) {
-    if (arg == "--exact" || arg == "--quiet") arg += "=1";
-  }
-  std::vector<const char*> argv_fixed;
-  argv_fixed.reserve(args.size());
-  for (const std::string& arg : args) argv_fixed.push_back(arg.c_str());
-  const FlagParser flags(argc, argv_fixed.data());
-
+  FlagParser flags(argc, argv, {"exact", "quiet"});
   const bool exact_flag = flags.GetBool("exact", false);
   const bool has_tolerance = flags.Has("tolerance");
-  const auto tolerance = flags.GetDouble("tolerance", 0.05);
-  const auto abs_floor = flags.GetDouble("abs-floor", 1e-12);
-  const auto max_violations = flags.GetInt("max-violations", 20);
+  const double tolerance = flags.GetDouble("tolerance", 0.05);
+  const double abs_floor = flags.GetDouble("abs-floor", 1e-12);
+  const uint64_t max_violations = flags.GetUint("max-violations", 20);
   const bool quiet = flags.GetBool("quiet", false);
-
-  for (const Status& status :
-       {tolerance.ok() ? Status::Ok() : tolerance.status(),
-        abs_floor.ok() ? Status::Ok() : abs_floor.status(),
-        max_violations.ok() ? Status::Ok() : max_violations.status()}) {
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 2;
-    }
-  }
-  for (const std::string& unused : flags.unused_flags()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unused.c_str());
+  if (!flags.status().ok()) {
+    std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
     return Usage();
   }
   if (exact_flag && has_tolerance) {
@@ -74,15 +56,15 @@ int Run(int argc, char** argv) {
     return Usage();
   }
   if (flags.positional().size() != 2) return Usage();
-  if (*tolerance < 0) {
+  if (tolerance < 0) {
     std::fprintf(stderr, "error: --tolerance must be >= 0\n");
     return 2;
   }
 
   DiffOptions options;
   options.exact = !has_tolerance;
-  options.tolerance = *tolerance;
-  options.abs_floor = *abs_floor;
+  options.tolerance = tolerance;
+  options.abs_floor = abs_floor;
 
   const std::string& path_a = flags.positional()[0];
   const std::string& path_b = flags.positional()[1];
@@ -109,10 +91,8 @@ int Run(int argc, char** argv) {
                   options.tolerance, path_a.c_str(), path_b.c_str());
     }
     std::printf(
-        "%s", FormatDriftTable(report,
-                               static_cast<size_t>(
-                                   *max_violations < 0 ? 0 : *max_violations))
-                  .c_str());
+        "%s",
+        FormatDriftTable(report, static_cast<size_t>(max_violations)).c_str());
   }
   if (!report.ok()) {
     std::fprintf(stderr, "\nldpr_diff: %zu violation(s)\n",

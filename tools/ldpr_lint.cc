@@ -11,10 +11,12 @@
 //   ldpr_lint --repo=. --dot=build/include_graph.dot src ...
 //
 //   # Mechanical guard repair (R5): dry-run plan, then rewrite.
-//   # (--apply=1, not bare --apply: the flag parser would read a
-//   # following root as the flag's value.)
 //   ldpr_lint --repo=. --fix=header-guards src
-//   ldpr_lint --repo=. --fix=header-guards --apply=1 src
+//   ldpr_lint --repo=. --fix=header-guards --apply src
+//
+// --apply is a boolean: bare (a root after it stays a root) or
+// --apply=true/false/1/0.  The other flags take --name=value or
+// --name value.
 //
 // Rules R1-R8 are documented in src/lint/lint.h and
 // docs/architecture.md ("Static guarantees").  Suppress a deliberate
@@ -47,7 +49,7 @@ int Usage() {
       stderr,
       "usage: ldpr_lint [--repo=DIR] [--allowlist=FILE]\n"
       "                 [--format=plain|sarif|github] [--dot=FILE]\n"
-      "                 [--fix=header-guards [--apply=1]] ROOT...\n"
+      "                 [--fix=header-guards [--apply]] ROOT...\n"
       "\n"
       "Scans the given directories (or files) for violations of the\n"
       "repo's determinism/portability contracts (rules R1-R8; see\n"
@@ -105,7 +107,7 @@ int RunFixHeaderGuards(const lint::LintOptions& options, bool apply) {
 }
 
 int Run(int argc, char** argv) {
-  const FlagParser flags(argc, argv);
+  FlagParser flags(argc, argv, {"apply"});
   lint::LintOptions options;
   options.repo_root = flags.GetString("repo", ".");
   options.allowlist_path = flags.GetString("allowlist", "ci/lint_allowlist.txt");
@@ -115,9 +117,8 @@ int Run(int argc, char** argv) {
   const std::string fix_mode = flags.GetString("fix", "");
   const bool apply = flags.GetBool("apply", false);
 
-  const std::vector<std::string> unused = flags.unused_flags();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
+  if (!flags.status().ok()) {
+    std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
     return Usage();
   }
   if (options.roots.empty()) return Usage();
