@@ -27,6 +27,7 @@
 #include "ldp/report_batch.h"
 #include "util/flags.h"
 #include "util/random.h"
+#include "util/simd.h"
 
 namespace ldpr {
 namespace {
@@ -84,6 +85,7 @@ int Run(int argc, char** argv) {
   if (targets < 1 || targets > d)
     flags.Check(InvalidArgumentError("--targets must be in [1, d]"));
   if (reps < 1) flags.Check(InvalidArgumentError("--reps must be >= 1"));
+  flags.RejectPositional("bench_aggregation_batch");
   if (!flags.status().ok()) {
     std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
     return 1;
@@ -99,10 +101,11 @@ int Run(int argc, char** argv) {
     filter_kind = *parsed;
   }
 
-  std::printf("batched aggregation, d=%llu eps=%g r=%llu "
+  std::printf("batched aggregation, d=%llu eps=%g r=%llu simd=%s "
               "(MGA-crafted reports)\n",
               static_cast<unsigned long long>(d), epsilon,
-              static_cast<unsigned long long>(targets));
+              static_cast<unsigned long long>(targets),
+              ActiveSimdBackendName());
 
   for (ProtocolKind kind : kExtendedProtocolKinds) {
     if (filter_active && kind != filter_kind) continue;

@@ -158,6 +158,7 @@ int Run(int argc, char** argv) {
   const uint64_t trials = flags.GetUint("trials", 0);
   const double scale = flags.GetDouble("scale", 0.0);
   const uint64_t threads = flags.GetUint("threads", 0);
+  flags.RejectPositional("ldpr_bench");
   if (!flags.status().ok()) {
     std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
     return 1;

@@ -6,8 +6,12 @@
 # (abort, rc 134) or a silent fallback to the default (rc 0) both
 # fail, which a WILL_FAIL test would not tell apart.
 #
+# Commands that take no operands must also reject a stray one (a
+# `positional` case), where they used to run and ignore it.
+#
 # Usage: cmake -DLDPR_CLI=<path> -P flag_rejects.cmake
-#        cmake -DLDPR_BENCH=<path> -P flag_rejects.cmake
+#        cmake -DLDPR_BENCH=<path> [-DLDPR_AGG_BENCH=<path>]
+#              -P flag_rejects.cmake
 
 # expect_rejected(<name> <command...>): the command must exit 1 and
 # print "error: ... <name> ..." on stderr.
@@ -40,12 +44,21 @@ if(LDPR_CLI)
              --n=1000)
   expect_rejected(--window ${stream} --window=-5)
   expect_rejected(--stride ${stream} --stride=-2)
+  expect_rejected(positional ${run} --trials=1 extra)
+  expect_rejected(positional ${stream} extra)
+  expect_rejected(positional ${LDPR_CLI} list extra)
 elseif(LDPR_BENCH)
   set(bench ${LDPR_BENCH} --scenario=table1 --scale=0.01)
   expect_rejected(--trials ${bench} --trials=-3)
   expect_rejected(--seed ${bench} --seed=-1)
   expect_rejected(--threads ${bench} --threads=-5)
   expect_rejected(--list ${LDPR_BENCH} --list=maybe)
+  expect_rejected(positional ${LDPR_BENCH} --list true)
+  expect_rejected(positional ${bench} --trials=1 extra)
+  if(LDPR_AGG_BENCH)
+    expect_rejected(positional ${LDPR_AGG_BENCH} --protocol=GRR --d=16
+                    --reports=64 --reps=1 extra)
+  endif()
 else()
   message(FATAL_ERROR "LDPR_CLI or LDPR_BENCH must be set")
 endif()

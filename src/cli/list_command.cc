@@ -12,6 +12,7 @@ namespace ldpr {
 namespace cli {
 
 int ListCommand(FlagParser& flags) {
+  flags.RejectPositional("ldpr list");
   if (!flags.status().ok()) return ReportError(flags.status());
   std::printf(
       "commands:\n"

@@ -48,6 +48,7 @@ int RunCommand(FlagParser& flags) {
   // trials, out-of-range epsilon/beta/eta/targets, ...).
   if (top_k < 1) flags.Check(InvalidArgumentError("--top_k must be >= 1"));
   if (trials < 1) flags.Check(InvalidArgumentError("--trials must be >= 1"));
+  flags.RejectPositional("ldpr run");
   if (!flags.status().ok()) return ReportError(flags.status());
 
   ExperimentConfig config;

@@ -98,11 +98,8 @@ int ShardWorkerCommand(FlagParser& flags) {
   const uint64_t workers = flags.GetUint("workers", 1);
   const uint64_t worker = flags.GetUint("worker", 0);
   const std::string out_path = flags.GetString("out", "-");
+  flags.RejectPositional("ldpr shard-worker");
   if (!flags.status().ok()) return ReportError(flags.status());
-  if (!flags.positional().empty()) {
-    std::fprintf(stderr, "error: shard-worker takes no positional operands\n");
-    return 1;
-  }
   if (workers < 1 || worker >= workers) {
     std::fprintf(stderr,
                  "error: need --workers >= 1 and 0 <= --worker < workers\n");

@@ -44,6 +44,7 @@ int StreamCommand(FlagParser& flags) {
   const auto wave = ParseWaveShape(flags.GetString("wave", "constant"));
   flags.Check(wave.status());
   const std::string out_path = flags.GetString("out", "");
+  flags.RejectPositional("ldpr stream");
   if (!flags.status().ok()) return ReportError(flags.status());
   if (const Status valid = ValidateEpsilon(trial.protocol, trial.epsilon);
       !valid.ok()) {

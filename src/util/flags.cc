@@ -91,6 +91,13 @@ bool FlagParser::GetBool(const std::string& name, bool fallback) {
   return fallback;
 }
 
+void FlagParser::RejectPositional(const std::string& command) {
+  if (!positional_.empty())
+    Check(InvalidArgumentError(command +
+                               " takes no positional operands, got: " +
+                               positional_.front()));
+}
+
 void FlagParser::Check(const Status& error) {
   if (error_.ok()) error_ = error;
 }

@@ -57,6 +57,10 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// For commands that take no operands: latches "<command> takes no
+  /// positional operands, got: <first>" when any was given.
+  void RejectPositional(const std::string& command);
+
   /// Latches `error` unless it is OK or an earlier error is latched —
   /// for the checks a command makes on the values it read.
   void Check(const Status& error);

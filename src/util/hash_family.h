@@ -15,6 +15,12 @@
 //    subtract).  Exactness for every 64-bit x is what keeps the
 //    batched OLH path bit-identical to SeededHash, and is locked in
 //    by tests/report_gen_batch_test.cc.
+//  * FastModEquals — an exact `h % g == r` test with no remainder at
+//    all: one multiply, a rotate and two compares (the divisibility
+//    test of Lemire, Kaser & Kurz, "Faster Remainder by Direct
+//    Computation", 2019).  The AVX-512 OLH kernel runs it per lane; it
+//    is locked to `%` at the edges random hashes never reach by
+//    tests/report_gen_batch_test.cc.
 //  * SeededHashTileEval — evaluates H_seed(item) for one item against
 //    a whole tile of report seeds, hoisting the item-only half of the
 //    8-byte xxHash (XxHash64Round0) out of the per-seed loop.
@@ -64,6 +70,56 @@ class FastMod {
   uint64_t mask_;
   bool pow2_;
   uint64_t m_;  // floor(2^64 / g); fits u64 for every non-pow2 g >= 3
+};
+
+/// Exact division-free test `h % g == r` for a fixed g >= 1.
+///
+/// h % g == r exactly when r < g, h >= r and g divides x = h - r.
+/// Write g = 2^k * o with o odd and let o' be the inverse of o modulo
+/// 2^64.  If x = g * q then x * o' = 2^k * q (mod 2^64), whose
+/// rotate right by k is q <= floor((2^64 - 1) / g).  Conversely, a
+/// rotated value y <= floor((2^64 - 1) / g) < 2^(64-k) has k zero top
+/// bits, so x * o' had k zero low bits and equals 2^k * y; hence
+/// x = g * y, exactly, since g * y < 2^64.  One path serves every g,
+/// powers of two included (o = 1).
+class FastModEquals {
+ public:
+  explicit FastModEquals(uint64_t g)
+      : g_(g),
+        shift_(__builtin_ctzll(g)),
+        inverse_(OddInverse(g >> shift_)),
+        max_quotient_(~uint64_t{0} / g) {}
+
+  uint64_t divisor() const { return g_; }
+  int shift() const { return shift_; }
+  uint64_t inverse() const { return inverse_; }
+  uint64_t max_quotient() const { return max_quotient_; }
+
+  /// True iff g divides x.
+  bool Divides(uint64_t x) const {
+    const uint64_t y = x * inverse_;
+    const uint64_t rotated = (y >> shift_) | (y << ((64 - shift_) & 63));
+    return rotated <= max_quotient_;
+  }
+
+  /// True iff h % g == r.
+  bool operator()(uint64_t h, uint64_t r) const {
+    return r < g_ && h >= r && Divides(h - r);
+  }
+
+ private:
+  // Newton's iteration for the inverse of odd o modulo 2^64: o is its
+  // own inverse modulo 2^3, and each step doubles the correct bits.
+  static uint64_t OddInverse(uint64_t o) {
+    uint64_t x = o;
+    for (int i = 0; i < 5; ++i) x *= 2 - o * x;
+    return x;
+  }
+
+  uint64_t g_;
+  int shift_;
+  uint64_t inverse_;
+  uint64_t max_quotient_;
 };
 
 /// One member of the OLH hash family, identified by its seed.

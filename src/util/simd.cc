@@ -20,9 +20,9 @@
 #endif
 
 // The LDPR_SIMD CMake option narrows what DetectBackend may pick:
-// LDPR_SIMD_MODE 0=off 1=auto 2=avx2 3=sse2 4=neon.  Pinning an
-// unavailable backend degrades to scalar (the manifest's `simd` field
-// records what actually ran).
+// LDPR_SIMD_MODE 0=off 1=auto 2=avx2 3=sse2 4=neon.  Pinning
+// an unavailable backend degrades to scalar (the manifest's `simd`
+// field records what actually ran).
 #ifndef LDPR_SIMD_MODE
 #define LDPR_SIMD_MODE 1
 #endif
@@ -36,50 +36,71 @@ bool ForceScalarEnv() {
   return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
 }
 
-bool Avx2Available() {
-#if defined(LDPR_SIMD_X86)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-bool Sse2Available() {
-#if defined(__x86_64__)
-  return true;  // baseline of the x86-64 ABI
-#elif defined(__i386__)
-  return __builtin_cpu_supports("sse2");
-#else
-  return false;
-#endif
-}
-
-bool NeonAvailable() {
-#if defined(LDPR_SIMD_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
 SimdBackend DetectBackend() {
   if (LDPR_SIMD_MODE == 0 || ForceScalarEnv()) return SimdBackend::kScalar;
-  if (LDPR_SIMD_MODE == 2)
-    return Avx2Available() ? SimdBackend::kAvx2 : SimdBackend::kScalar;
-  if (LDPR_SIMD_MODE == 3)
-    return Sse2Available() ? SimdBackend::kSse2 : SimdBackend::kScalar;
-  if (LDPR_SIMD_MODE == 4)
-    return NeonAvailable() ? SimdBackend::kNeon : SimdBackend::kScalar;
-  if (Avx2Available()) return SimdBackend::kAvx2;
-  if (Sse2Available()) return SimdBackend::kSse2;
-  if (NeonAvailable()) return SimdBackend::kNeon;
-  return SimdBackend::kScalar;
+  SimdBackend pinned = SimdBackend::kScalar;
+  switch (LDPR_SIMD_MODE) {
+    case 2:
+      pinned = SimdBackend::kAvx2;
+      break;
+    case 3:
+      pinned = SimdBackend::kSse2;
+      break;
+    case 4:
+      pinned = SimdBackend::kNeon;
+      break;
+    default:  // auto: the best available
+      for (SimdBackend best : {SimdBackend::kAvx512, SimdBackend::kAvx2,
+                               SimdBackend::kSse2, SimdBackend::kNeon}) {
+        if (SimdBackendAvailable(best)) return best;
+      }
+      return SimdBackend::kScalar;
+  }
+  return SimdBackendAvailable(pinned) ? pinned : SimdBackend::kScalar;
 }
 
 // -1 = no override; else the pinned SimdBackend.
 std::atomic<int> g_backend_override{-1};
 
 }  // namespace
+
+bool SimdBackendAvailable(SimdBackend backend) {
+  switch (backend) {
+    case SimdBackend::kScalar:
+      return true;
+    case SimdBackend::kSse2:
+#if defined(__x86_64__)
+      return true;  // baseline of the x86-64 ABI
+#elif defined(__i386__)
+      return __builtin_cpu_supports("sse2");
+#else
+      return false;
+#endif
+    case SimdBackend::kAvx2:
+#if defined(LDPR_SIMD_X86)
+      return __builtin_cpu_supports("avx2");
+#else
+      return false;
+#endif
+    case SimdBackend::kAvx512:
+#if defined(LDPR_SIMD_X86)
+      // POPCNT ships with every AVX-512 CPU; the kernel's target
+      // attribute names it, so it is checked all the same.
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512dq") &&
+             __builtin_cpu_supports("popcnt");
+#else
+      return false;
+#endif
+    case SimdBackend::kNeon:
+#if defined(LDPR_SIMD_NEON)
+      return true;
+#else
+      return false;
+#endif
+  }
+  return false;
+}
 
 const char* SimdBackendName(SimdBackend backend) {
   switch (backend) {
@@ -89,6 +110,8 @@ const char* SimdBackendName(SimdBackend backend) {
       return "sse2";
     case SimdBackend::kAvx2:
       return "avx2";
+    case SimdBackend::kAvx512:
+      return "avx512";
     case SimdBackend::kNeon:
       return "neon";
   }
@@ -107,6 +130,7 @@ const char* ActiveSimdBackendName() {
 }
 
 void SetSimdBackendForTest(SimdBackend backend) {
+  LDPR_CHECK(SimdBackendAvailable(backend));
   g_backend_override.store(static_cast<int>(backend),
                            std::memory_order_relaxed);
 }
@@ -220,6 +244,7 @@ void UnaryColumnsDispatch(const uint8_t* rows, size_t n, size_t d,
   switch (ActiveSimdBackend()) {
 #if defined(LDPR_SIMD_X86)
     case SimdBackend::kAvx2:
+    case SimdBackend::kAvx512:
       UnaryColumnsAvx2(rows, n, d, acc);
       return;
     case SimdBackend::kSse2:
@@ -309,6 +334,14 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 // to four multiplies, and FastMod strength-reduces `% g` (a mask for
 // the power-of-two g of the default OLH/BLH parameterizations).  The
 // four-way unrolled loop keeps those multiply chains pipelined.
+//
+// The AVX-512 path runs the same tiles 8 reports per vector: the
+// item's XxHash64Round0 is broadcast, the per-seed finish runs in
+// 64-bit lanes, and `h % g == value` becomes FastModEquals's
+// remainder-free test (one multiply, a rotate, two compares), the
+// same predicate lane for lane.  A tile's last vector masks off the
+// lanes past its end, and lanes whose value is >= g (which no hash
+// can match) are masked off once per tile.
 
 namespace {
 
@@ -353,15 +386,130 @@ void OlhSupportFast(const uint64_t* seeds, const uint32_t* values, size_t n,
   }
 }
 
+#if defined(LDPR_SIMD_X86)
+
+#define LDPR_AVX512 __attribute__((target("avx512f,avx512dq,popcnt")))
+
+// GCC 12 warns that the unmasked rotate and shift intrinsics read an
+// uninitialized pass-through operand; their all-lanes maskz forms
+// compile to the same instructions without it.
+constexpr __mmask8 kAllLanes = 0xFF;
+
+// FastModEquals(g), broadcast to 8 lanes.
+struct ModEqualsLanes {
+  __m512i range, inverse, shift, max_quotient;
+};
+
+LDPR_AVX512 inline __attribute__((always_inline)) ModEqualsLanes
+BroadcastModEquals(uint32_t g) {
+  const FastModEquals match(g);
+  return {_mm512_set1_epi64(g), _mm512_set1_epi64(match.inverse()),
+          _mm512_set1_epi64(match.shift()),
+          _mm512_set1_epi64(match.max_quotient())};
+}
+
+// The lanes of `live` where FastModEquals(g)(h, value) holds, lane
+// for lane the scalar test; `live` must already exclude value >= g.
+LDPR_AVX512 inline __attribute__((always_inline)) __mmask8 ModEqualsMask(
+    const ModEqualsLanes& m, __m512i h, __m512i value, __mmask8 live) {
+  const __mmask8 at_least = _mm512_mask_cmpge_epu64_mask(live, h, value);
+  const __m512i quotient = _mm512_maskz_rorv_epi64(
+      kAllLanes, _mm512_mullo_epi64(_mm512_sub_epi64(h, value), m.inverse),
+      m.shift);
+  return _mm512_mask_cmple_epu64_mask(at_least, quotient, m.max_quotient);
+}
+
+LDPR_AVX512 uint8_t ModEqualsAvx512(const uint64_t* h, const uint64_t* r,
+                                    uint32_t g) {
+  const ModEqualsLanes m = BroadcastModEquals(g);
+  const __m512i value = _mm512_loadu_si512(r);
+  return ModEqualsMask(m, _mm512_loadu_si512(h), value,
+                       _mm512_cmplt_epu64_mask(value, m.range));
+}
+
+LDPR_AVX512 void OlhSupportAvx512(const uint64_t* seeds,
+                                  const uint32_t* values, size_t n, size_t d,
+                                  uint32_t g, uint64_t* counts) {
+  using namespace xxhash_detail;
+  constexpr size_t kReportTile = 256;
+  constexpr size_t kLanes = 8;
+  const ModEqualsLanes match = BroadcastModEquals(g);
+  const __m512i prime1 = _mm512_set1_epi64(kPrime1);
+  const __m512i prime2 = _mm512_set1_epi64(kPrime2);
+  const __m512i prime3 = _mm512_set1_epi64(kPrime3);
+  const __m512i prime4 = _mm512_set1_epi64(kPrime4);
+  alignas(64) uint64_t seed_accs[kReportTile];
+  alignas(64) uint64_t tile_values[kReportTile];
+  __mmask8 live[kReportTile / kLanes];
+  for (size_t i0 = 0; i0 < n; i0 += kReportTile) {
+    const size_t tn = std::min(n - i0, kReportTile);
+    const size_t vectors = (tn + kLanes - 1) / kLanes;
+    for (size_t i = 0; i < vectors * kLanes; ++i) {
+      seed_accs[i] = i < tn ? XxHash64SeedAcc(seeds[i0 + i]) : 0;
+      tile_values[i] = i < tn ? values[i0 + i] : 0;
+    }
+    for (size_t j = 0; j < vectors; ++j) {
+      const size_t lanes = std::min(tn - j * kLanes, kLanes);
+      const __mmask8 tail = static_cast<__mmask8>((1u << lanes) - 1);
+      live[j] = _mm512_mask_cmplt_epu64_mask(
+          tail, _mm512_load_si512(tile_values + j * kLanes), match.range);
+    }
+    for (size_t v = 0; v < d; ++v) {
+      const __m512i round0 = _mm512_set1_epi64(XxHash64Round0(v));
+      uint32_t supported = 0;
+      for (size_t j = 0; j < vectors; ++j) {
+        // XxHash64Key8WithRound0, lane-wise.
+        __m512i h = _mm512_xor_si512(
+            _mm512_load_si512(seed_accs + j * kLanes), round0);
+        h = _mm512_mullo_epi64(_mm512_maskz_rol_epi64(kAllLanes, h, 27),
+                               prime1);
+        h = _mm512_add_epi64(h, prime4);
+        h = _mm512_xor_si512(h, _mm512_maskz_srli_epi64(kAllLanes, h, 33));
+        h = _mm512_mullo_epi64(h, prime2);
+        h = _mm512_xor_si512(h, _mm512_maskz_srli_epi64(kAllLanes, h, 29));
+        h = _mm512_mullo_epi64(h, prime3);
+        h = _mm512_xor_si512(h, _mm512_maskz_srli_epi64(kAllLanes, h, 32));
+        const __mmask8 hit = ModEqualsMask(
+            match, h, _mm512_load_si512(tile_values + j * kLanes), live[j]);
+        supported += static_cast<uint32_t>(_mm_popcnt_u32(hit));
+      }
+      counts[v] += supported;
+    }
+  }
+}
+
+#undef LDPR_AVX512
+
+#endif  // LDPR_SIMD_X86
+
 }  // namespace
 
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
                        size_t n, size_t d, uint32_t g, uint64_t* counts) {
-  if (ActiveSimdBackend() == SimdBackend::kScalar) {
-    OlhSupportScalar(seeds, values, n, d, g, counts);
-  } else {
-    OlhSupportFast(seeds, values, n, d, g, counts);
+  switch (ActiveSimdBackend()) {
+    case SimdBackend::kScalar:
+      OlhSupportScalar(seeds, values, n, d, g, counts);
+      return;
+#if defined(LDPR_SIMD_X86)
+    case SimdBackend::kAvx512:
+      OlhSupportAvx512(seeds, values, n, d, g, counts);
+      return;
+#endif
+    default:
+      OlhSupportFast(seeds, values, n, d, g, counts);
+      return;
   }
+}
+
+uint8_t SimdModEqualsAvx512ForTest(const uint64_t* h, const uint64_t* r,
+                                   uint32_t g) {
+  LDPR_CHECK(SimdBackendAvailable(SimdBackend::kAvx512));
+#if defined(LDPR_SIMD_X86)
+  return ModEqualsAvx512(h, r, g);
+#else
+  (void)h, (void)r, (void)g;
+  return 0;
+#endif
 }
 
 }  // namespace ldpr

@@ -10,15 +10,20 @@
 // Each kernel ships a scalar reference implementation (always
 // compiled, the exact shape of the pre-SIMD per-report code) plus
 // accelerated paths: AVX2/SSE2 byte-lane accumulation for the unary
-// columns, bank-interleaved counting for the histogram, and the
-// inline split-xxHash + FastMod evaluation of util/hash_family.h for
-// local hashing.  Dispatch is compile-time (only backends the target
-// architecture can express are compiled; see the LDPR_SIMD CMake
-// option) narrowed at runtime by cpuid, and every kernel is bit-exact
-// across backends: every kernel adds into uint64_t support counters,
-// and integer addition regroups exactly
+// columns, bank-interleaved counting for the histogram, and for local
+// hashing the inline split-xxHash + FastMod evaluation of
+// util/hash_family.h, or under AVX-512 an 8-lane xxHash finish whose
+// `h % g == value` test is FastModEquals's multiply-rotate-compare.
+// The backends are scalar, SSE2, AVX2 and AVX-512 on x86 and NEON on
+// ARM; AVX-512 runs the AVX2 unary-column and histogram bodies and
+// has its own OLH/BLH kernel.  Dispatch is compile-time (only backends
+// the target architecture can express are compiled; see the LDPR_SIMD
+// CMake option) narrowed at runtime by cpuid: AVX-512 needs avx512f
+// and avx512dq, and is picked first when present.  Every kernel
+// is bit-exact across backends: every kernel adds into uint64_t
+// support counters, and integer addition regroups exactly
 // (tests/report_gen_batch_test.cc locks each kernel to its scalar
-// reference).
+// reference on every backend the machine offers).
 //
 // Setting LDPR_FORCE_SCALAR=1 in the environment pins the scalar
 // reference paths — the lever the CI determinism job uses to prove
@@ -39,10 +44,15 @@ enum class SimdBackend {
   kScalar,
   kSse2,
   kAvx2,
+  kAvx512,  // AVX2 kernels plus the AVX-512 OLH/BLH support count
   kNeon,
 };
 
 const char* SimdBackendName(SimdBackend backend);
+
+/// True iff this build compiled `backend` and the running CPU supports
+/// it, whatever the LDPR_SIMD pin or LDPR_FORCE_SCALAR say.
+bool SimdBackendAvailable(SimdBackend backend);
 
 /// The backend every kernel currently dispatches to: the best
 /// available one, unless the LDPR_SIMD CMake option pinned or
@@ -52,8 +62,7 @@ SimdBackend ActiveSimdBackend();
 const char* ActiveSimdBackendName();
 
 /// Test hooks: pin dispatch to `backend` / restore auto-detection.
-/// The caller must only pin backends available on the running
-/// machine (kScalar always is).
+/// `backend` must be available (SimdBackendAvailable).
 void SetSimdBackendForTest(SimdBackend backend);
 void ClearSimdBackendForTest();
 
@@ -82,6 +91,11 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 /// sweep; any n works.
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
                        size_t n, size_t d, uint32_t g, uint64_t* counts);
+
+/// Test hook: bit i is FastModEquals(g)(h[i], r[i]) for i < 8 as the
+/// AVX-512 support kernel's lanes compute it.  Requires kAvx512.
+uint8_t SimdModEqualsAvx512ForTest(const uint64_t* h, const uint64_t* r,
+                                   uint32_t g);
 
 }  // namespace ldpr
 

@@ -55,6 +55,21 @@ TEST(FlagParserTest, PositionalArguments) {
   EXPECT_EQ(flags.positional()[1], "output.csv");
 }
 
+TEST(FlagParserTest, RejectPositionalNamesCommandAndOperand) {
+  auto none = Parse({"--k=3"});
+  (void)none.GetUint("k", 0);
+  none.RejectPositional("ldpr run");
+  EXPECT_TRUE(none.status().ok());
+
+  auto flags = Parse({"--list", "true", "extra"}, {"list"});
+  EXPECT_TRUE(flags.GetBool("list", false));
+  flags.RejectPositional("ldpr_bench");
+  const Status status = flags.status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "ldpr_bench takes no positional operands, got: true");
+}
+
 TEST(FlagParserTest, UnusedFlagsDetected) {
   auto flags = Parse({"--used=1", "--typo=2"});
   (void)flags.GetUint("used", 0);

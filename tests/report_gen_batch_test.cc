@@ -10,11 +10,13 @@
 //    across the unsharded and sharded aggregation routes;
 //  * every SIMD kernel is bit-equal to its scalar reference on every
 //    backend the running machine offers (SetSimdBackendForTest);
-//  * the exact-arithmetic building blocks (FastMod, the split 8-byte
-//    xxHash) match their generic counterparts on extreme inputs.
+//  * the exact-arithmetic building blocks (FastMod, FastModEquals,
+//    the split 8-byte xxHash) match their generic counterparts on
+//    extreme inputs.
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,11 +95,12 @@ TEST(ReportGenBatchTest, BuilderBatchesAgreeAcrossShardChunkBoundaries) {
 // bit-equal to the scalar reference on every kernel.
 
 std::vector<SimdBackend> TestableBackends() {
-  std::vector<SimdBackend> backends = {SimdBackend::kScalar};
-  // ActiveSimdBackend() only reports backends the machine supports,
-  // so it is always safe to pin.
-  if (ActiveSimdBackend() != SimdBackend::kScalar)
-    backends.push_back(ActiveSimdBackend());
+  std::vector<SimdBackend> backends;
+  for (SimdBackend backend :
+       {SimdBackend::kScalar, SimdBackend::kSse2, SimdBackend::kAvx2,
+        SimdBackend::kAvx512, SimdBackend::kNeon}) {
+    if (SimdBackendAvailable(backend)) backends.push_back(backend);
+  }
   return backends;
 }
 
@@ -155,32 +158,74 @@ TEST(SimdKernelTest, ValueHistogramMatchesScalarAcrossBackends) {
   }
 }
 
+// Adds OLH supports of n random reports over d items on `backend`,
+// starting from a carry-in of 1 per item.
+std::vector<uint64_t> OlhSupportOn(SimdBackend backend,
+                                   const std::vector<uint64_t>& seeds,
+                                   const std::vector<uint32_t>& values,
+                                   size_t d, uint32_t g) {
+  ScopedBackend scoped(backend);
+  std::vector<uint64_t> counts(d, 1);
+  SimdOlhSupportAdd(seeds.data(), values.data(), seeds.size(), d, g,
+                    counts.data());
+  return counts;
+}
+
 TEST(SimdKernelTest, OlhSupportMatchesScalarAcrossBackends) {
   Rng rng(303);
-  const size_t d = 33;
-  for (uint32_t g : {2u, 4u, 3u, 7u}) {  // pow2 and non-pow2 ranges
-    for (size_t n : {size_t{0}, size_t{1}, size_t{255}, size_t{256},
-                     size_t{257}, size_t{1000}}) {
-      std::vector<uint64_t> seeds(n);
-      std::vector<uint32_t> values(n);
-      for (size_t i = 0; i < n; ++i) {
-        seeds[i] = rng.Next();
-        values[i] = static_cast<uint32_t>(rng.UniformU64(g));
-      }
-      std::vector<uint64_t> reference(d, 1);  // nonzero carry-in
-      {
-        ScopedBackend scalar(SimdBackend::kScalar);
-        SimdOlhSupportAdd(seeds.data(), values.data(), n, d, g,
-                          reference.data());
-      }
-      for (SimdBackend backend : TestableBackends()) {
-        ScopedBackend scoped(backend);
-        std::vector<uint64_t> counts(d, 1);
-        SimdOlhSupportAdd(seeds.data(), values.data(), n, d, g, counts.data());
-        EXPECT_EQ(counts, reference)
-            << SimdBackendName(backend) << " g=" << g << " n=" << n;
+  // Powers of two, eps-0.5 OLH (g = 3), Fire-sized BLH-style ranges
+  // and a range past every 32-bit shortcut; item counts of the unit
+  // test, IPUMS and Fire; sizes around the 8-lane vector and the
+  // 256-report tile.
+  for (uint32_t g : {2u, 3u, 4u, 7u, 56u, 1000003u}) {
+    for (size_t d : {size_t{33}, size_t{102}, size_t{490}}) {
+      for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                       size_t{255}, size_t{256}, size_t{257}, size_t{1000}}) {
+        std::vector<uint64_t> seeds(n);
+        std::vector<uint32_t> values(n);
+        for (size_t i = 0; i < n; ++i) {
+          seeds[i] = rng.Next();
+          values[i] = static_cast<uint32_t>(rng.UniformU64(g));
+        }
+        const std::vector<uint64_t> reference =
+            OlhSupportOn(SimdBackend::kScalar, seeds, values, d, g);
+        for (SimdBackend backend : TestableBackends()) {
+          EXPECT_EQ(OlhSupportOn(backend, seeds, values, d, g), reference)
+              << SimdBackendName(backend) << " g=" << g << " d=" << d
+              << " n=" << n;
+        }
       }
     }
+  }
+}
+
+TEST(SimdKernelTest, OlhSupportAvx512MatchesScalar) {
+  if (!SimdBackendAvailable(SimdBackend::kAvx512))
+    GTEST_SKIP() << "no avx512f/dq on this host";
+  Rng rng(606);
+  const size_t d = 61;
+  for (uint32_t g : {2u, 3u, 6u, 7u, 12u, 1000003u}) {
+    // Reports that hash to every item and reports whose value is out
+    // of range (>= g, which no hash matches) next to random ones.
+    const size_t n = 8 * 37 + 5;
+    std::vector<uint64_t> seeds(n);
+    std::vector<uint32_t> values(n);
+    for (size_t i = 0; i < n; ++i) {
+      seeds[i] = rng.Next();
+      switch (i % 3) {
+        case 0:
+          values[i] = SeededHash(seeds[i], g)(i % d);
+          break;
+        case 1:
+          values[i] = g + static_cast<uint32_t>(i % 2);
+          break;
+        default:
+          values[i] = static_cast<uint32_t>(rng.UniformU64(g));
+      }
+    }
+    EXPECT_EQ(OlhSupportOn(SimdBackend::kAvx512, seeds, values, d, g),
+              OlhSupportOn(SimdBackend::kScalar, seeds, values, d, g))
+        << "g=" << g;
   }
 }
 
@@ -204,6 +249,67 @@ TEST(FastModTest, MatchesModuloOnExtremesAndRandomInputs) {
     for (int i = 0; i < 1000; ++i) {
       const uint64_t x = rng.Next();
       EXPECT_EQ(mod(x), x % g) << "g=" << g << " x=" << x;
+    }
+  }
+}
+
+// Ranges from 1 through the largest OLH range (2^32 - 1).
+const std::vector<uint64_t> kModEqualsRanges = {
+    1, 2, 3, 4, 6, 7, 12, 56, 1024, 1000003, uint64_t{1} << 31,
+    (uint64_t{1} << 31) + 1, (uint64_t{1} << 32) - 1};
+
+// (h, v) pairs where random hashes never land: values in range at
+// both ends and out of range just past it, against hashes below, at
+// and just past v and g, and at the top of the 64-bit range.
+std::vector<std::pair<uint64_t, uint64_t>> ModEqualsEdges(uint64_t g) {
+  const uint64_t max64 = ~uint64_t{0};
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (uint64_t v : {uint64_t{0}, g - 1, g, g + 1}) {
+    for (uint64_t h : {uint64_t{0}, v - 1, v, v + 1, g - 1, g, g + v,
+                       max64 - g, max64 - g + 1, max64 - 1, max64}) {
+      edges.emplace_back(h, v);
+    }
+  }
+  return edges;
+}
+
+TEST(FastModEqualsTest, MatchesModuloOnEdgesAndRandomInputs) {
+  Rng rng(707);
+  for (uint64_t g : kModEqualsRanges) {
+    const FastModEquals match(g);
+    EXPECT_EQ(match.divisor(), g);
+    for (const auto& [h, v] : ModEqualsEdges(g)) {
+      EXPECT_EQ(match(h, v), h % g == v)
+          << "g=" << g << " h=" << h << " v=" << v;
+    }
+    for (int i = 0; i < 1000; ++i) {
+      const uint64_t h = rng.Next();
+      const uint64_t v = rng.UniformU64(g);
+      EXPECT_EQ(match(h, v), h % g == v) << "g=" << g << " h=" << h;
+      EXPECT_TRUE(match(h, h % g)) << "g=" << g << " h=" << h;
+      const uint64_t q = rng.Next() / g;  // any q with q * g < 2^64
+      EXPECT_TRUE(match.Divides(q * g)) << "g=" << g << " q=" << q;
+    }
+  }
+}
+
+TEST(FastModEqualsTest, Avx512LanesMatchModuloOnEdges) {
+  if (!SimdBackendAvailable(SimdBackend::kAvx512))
+    GTEST_SKIP() << "no avx512f/dq on this host";
+  for (uint64_t g : kModEqualsRanges) {
+    const auto edges = ModEqualsEdges(g);
+    for (size_t base = 0; base < edges.size(); base += 8) {
+      uint64_t h[8] = {}, v[8] = {};
+      uint8_t expected = 0;
+      for (size_t lane = 0; lane < 8; ++lane) {
+        const auto& edge = edges[(base + lane) % edges.size()];
+        h[lane] = edge.first;
+        v[lane] = edge.second;
+        if (h[lane] % g == v[lane]) expected |= static_cast<uint8_t>(1u << lane);
+      }
+      EXPECT_EQ(SimdModEqualsAvx512ForTest(h, v, static_cast<uint32_t>(g)),
+                expected)
+          << "g=" << g << " edges from " << base;
     }
   }
 }
