@@ -41,9 +41,11 @@ class MgaAttack final : public Attack {
 
   /// GRR: one uniformly drawn target per report.  OUE/SUE: every
   /// target bit plus random padding, written straight into packed
-  /// rows.  OLH/BLH: the best of `olh_seed_tries` random seeds, with
-  /// the per-target xxHash half hoisted out of the seed-try loop
-  /// (util/hash_family.h), emitted as (seed, bucket) pairs.
+  /// rows.  OLH/BLH: the best of `olh_seed_tries` random seeds,
+  /// emitted as (seed, bucket) pairs; the search is the dispatched
+  /// SimdMgaOlhCraft kernel (util/simd.h), which under AVX-512 tries
+  /// 8 seeds per vector for small g and draws the same seeds from
+  /// `rng` as the scalar loop.
   void CraftBatch(const FrequencyProtocol& protocol, size_t m, Rng& rng,
                   ReportBatch::Builder& out) const override;
 

@@ -75,7 +75,6 @@ class Rng {
   uint64_t Binomial(uint64_t n, double p);
 
  private:
-  uint64_t PoissonApproxBinomial(uint64_t n, double p);
   uint64_t BinomialInversion(uint64_t n, double p);
   uint64_t BinomialBtrs(uint64_t n, double p);
 

@@ -8,6 +8,7 @@
 
 #include "util/hash_family.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define LDPR_SIMD_X86 1
@@ -419,6 +420,21 @@ LDPR_AVX512 inline __attribute__((always_inline)) __mmask8 ModEqualsMask(
   return _mm512_mask_cmple_epu64_mask(at_least, quotient, m.max_quotient);
 }
 
+// XxHash64Key8WithRound0, lane-wise.
+LDPR_AVX512 inline __attribute__((always_inline)) __m512i XxHash64Key8Lanes(
+    __m512i seed_acc, __m512i round0) {
+  using namespace xxhash_detail;
+  __m512i h = _mm512_xor_si512(seed_acc, round0);
+  h = _mm512_mullo_epi64(_mm512_maskz_rol_epi64(kAllLanes, h, 27),
+                         _mm512_set1_epi64(kPrime1));
+  h = _mm512_add_epi64(h, _mm512_set1_epi64(kPrime4));
+  h = _mm512_xor_si512(h, _mm512_maskz_srli_epi64(kAllLanes, h, 33));
+  h = _mm512_mullo_epi64(h, _mm512_set1_epi64(kPrime2));
+  h = _mm512_xor_si512(h, _mm512_maskz_srli_epi64(kAllLanes, h, 29));
+  h = _mm512_mullo_epi64(h, _mm512_set1_epi64(kPrime3));
+  return _mm512_xor_si512(h, _mm512_maskz_srli_epi64(kAllLanes, h, 32));
+}
+
 LDPR_AVX512 uint8_t ModEqualsAvx512(const uint64_t* h, const uint64_t* r,
                                     uint32_t g) {
   const ModEqualsLanes m = BroadcastModEquals(g);
@@ -430,14 +446,9 @@ LDPR_AVX512 uint8_t ModEqualsAvx512(const uint64_t* h, const uint64_t* r,
 LDPR_AVX512 void OlhSupportAvx512(const uint64_t* seeds,
                                   const uint32_t* values, size_t n, size_t d,
                                   uint32_t g, uint64_t* counts) {
-  using namespace xxhash_detail;
   constexpr size_t kReportTile = 256;
   constexpr size_t kLanes = 8;
   const ModEqualsLanes match = BroadcastModEquals(g);
-  const __m512i prime1 = _mm512_set1_epi64(kPrime1);
-  const __m512i prime2 = _mm512_set1_epi64(kPrime2);
-  const __m512i prime3 = _mm512_set1_epi64(kPrime3);
-  const __m512i prime4 = _mm512_set1_epi64(kPrime4);
   alignas(64) uint64_t seed_accs[kReportTile];
   alignas(64) uint64_t tile_values[kReportTile];
   __mmask8 live[kReportTile / kLanes];
@@ -458,23 +469,102 @@ LDPR_AVX512 void OlhSupportAvx512(const uint64_t* seeds,
       const __m512i round0 = _mm512_set1_epi64(XxHash64Round0(v));
       uint32_t supported = 0;
       for (size_t j = 0; j < vectors; ++j) {
-        // XxHash64Key8WithRound0, lane-wise.
-        __m512i h = _mm512_xor_si512(
+        const __m512i h = XxHash64Key8Lanes(
             _mm512_load_si512(seed_accs + j * kLanes), round0);
-        h = _mm512_mullo_epi64(_mm512_maskz_rol_epi64(kAllLanes, h, 27),
-                               prime1);
-        h = _mm512_add_epi64(h, prime4);
-        h = _mm512_xor_si512(h, _mm512_maskz_srli_epi64(kAllLanes, h, 33));
-        h = _mm512_mullo_epi64(h, prime2);
-        h = _mm512_xor_si512(h, _mm512_maskz_srli_epi64(kAllLanes, h, 29));
-        h = _mm512_mullo_epi64(h, prime3);
-        h = _mm512_xor_si512(h, _mm512_maskz_srli_epi64(kAllLanes, h, 32));
         const __mmask8 hit = ModEqualsMask(
             match, h, _mm512_load_si512(tile_values + j * kLanes), live[j]);
         supported += static_cast<uint32_t>(_mm_popcnt_u32(hit));
       }
       counts[v] += supported;
     }
+  }
+}
+
+// The seed search's vector path keeps r target vectors and g bucket
+// vectors on the stack.
+constexpr size_t kCraftMaxTargets = 64;
+constexpr uint32_t kCraftMaxBuckets = 16;
+
+LDPR_AVX512 void MgaOlhCraftAvx512(const uint64_t* round0, size_t r,
+                                   uint32_t g, size_t tries, size_t m,
+                                   Rng& rng, uint64_t* seeds,
+                                   uint32_t* values) {
+  constexpr size_t kLanes = 8;
+  const ModEqualsLanes match = BroadcastModEquals(g);
+  const uint64_t inverse = FastModEquals(g).inverse();
+  const __m512i seed_acc_offset = _mm512_set1_epi64(XxHash64SeedAcc(0));
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i target_round0[kCraftMaxTargets];
+  for (size_t j = 0; j < r; ++j)
+    target_round0[j] = _mm512_set1_epi64(round0[j]);
+  // Bucket b and b·o' (mod 2^64), o' the inverse of g's odd part.
+  __m512i bucket[kCraftMaxBuckets];
+  __m512i bucket_offset[kCraftMaxBuckets];
+  for (uint32_t b = 0; b < g; ++b) {
+    bucket[b] = _mm512_set1_epi64(b);
+    bucket_offset[b] = _mm512_set1_epi64(b * inverse);
+  }
+  __m512i y[kCraftMaxTargets];
+  alignas(64) uint64_t lane_seeds[kLanes];
+  alignas(64) uint64_t lane_hits[kLanes];
+  alignas(64) uint64_t lane_bucket[kLanes];
+  for (size_t i = 0; i < m; ++i) {
+    uint64_t best_seed = 0;
+    uint32_t best_value = 0;
+    size_t best_hits = 0;
+    for (size_t done = 0; done < tries && best_hits < r; done += kLanes) {
+      const size_t lanes = std::min(tries - done, kLanes);
+      const Rng snapshot = rng;
+      for (size_t k = 0; k < kLanes; ++k)
+        lane_seeds[k] = k < lanes ? rng.Next() : 0;
+      const __m512i seed_acc = _mm512_add_epi64(
+          _mm512_load_si512(lane_seeds), seed_acc_offset);
+      // h % g == b exactly when g divides h - b >= 0.  A hash below
+      // g is lifted to h + g (same residue, no wrap), so h >= g > b
+      // holds in every lane, and the multiply by o' is hoisted out of
+      // the bucket loop: (h - b)·o' = h·o' - b·o' (mod 2^64).
+      for (size_t j = 0; j < r; ++j) {
+        __m512i h = XxHash64Key8Lanes(seed_acc, target_round0[j]);
+        h = _mm512_mask_add_epi64(h, _mm512_cmplt_epu64_mask(h, match.range),
+                                  h, match.range);
+        y[j] = _mm512_mullo_epi64(h, match.inverse);
+      }
+      __m512i most = _mm512_setzero_si512();
+      __m512i most_bucket = _mm512_setzero_si512();
+      for (uint32_t b = 0; b < g; ++b) {
+        __m512i hits = _mm512_setzero_si512();
+        for (size_t j = 0; j < r; ++j) {
+          const __m512i quotient = _mm512_maskz_rorv_epi64(
+              kAllLanes, _mm512_sub_epi64(y[j], bucket_offset[b]),
+              match.shift);
+          hits = _mm512_mask_add_epi64(
+              hits, _mm512_cmple_epu64_mask(quotient, match.max_quotient),
+              hits, one);
+        }
+        // Strict > over ascending b keeps the smallest bucket on ties.
+        const __mmask8 more = _mm512_cmpgt_epu64_mask(hits, most);
+        most = _mm512_mask_mov_epi64(most, more, hits);
+        most_bucket = _mm512_mask_mov_epi64(most_bucket, more, bucket[b]);
+      }
+      _mm512_store_si512(lane_hits, most);
+      _mm512_store_si512(lane_bucket, most_bucket);
+      for (size_t k = 0; k < lanes; ++k) {
+        if (lane_hits[k] > best_hits) {
+          best_hits = lane_hits[k];
+          best_seed = lane_seeds[k];
+          best_value = static_cast<uint32_t>(lane_bucket[k]);
+          if (best_hits == r) {
+            // The scalar loop stops after this try: it drew k + 1 of
+            // the 8 seeds.
+            rng = snapshot;
+            for (size_t q = 0; q <= k; ++q) rng.Next();
+            break;
+          }
+        }
+      }
+    }
+    seeds[i] = best_seed;
+    values[i] = best_value;
   }
 }
 
@@ -499,6 +589,83 @@ void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
       OlhSupportFast(seeds, values, n, d, g, counts);
       return;
   }
+}
+
+// ==================================================================
+// MGA's OLH/BLH seed search.
+//
+// The scalar reference tries one seed at a time: it hashes the r
+// targets into buckets and compares them pairwise, O(r^2) time and
+// O(r) space whatever g is (g exceeds 10^8 at eps = 20).
+//
+// The AVX-512 path (g <= 16, r <= 64) runs 8 tries per vector.  Per
+// target it finishes xxHash in 64-bit lanes and multiplies once by
+// o', the inverse of g's odd part; bucket b's FastModEquals test is
+// then a subtract, a rotate and two compares.  Buckets run in the
+// outer loop, so each lane's hit count stays in a register, and a
+// strict > over ascending b keeps the smallest of the most hit
+// buckets.  The 8 seeds are drawn from the Rng after a snapshot, and
+// lanes are scanned in draw order with the scalar rule; when lane k
+// hits all r targets, the Rng is restored and redraws the k + 1 seeds
+// the scalar loop would have drawn.
+
+namespace {
+
+void MgaOlhCraftScalar(const uint64_t* round0, size_t r, uint32_t g,
+                       size_t tries, size_t m, Rng& rng, uint64_t* seeds,
+                       uint32_t* values) {
+  const FastMod mod(g);
+  std::vector<uint32_t> buckets(r);
+  for (size_t i = 0; i < m; ++i) {
+    uint64_t best_seed = 0;
+    uint32_t best_value = 0;
+    size_t best_hits = 0;
+    for (size_t attempt = 0; attempt < tries; ++attempt) {
+      const uint64_t seed = rng.Next();
+      const uint64_t seed_acc = XxHash64SeedAcc(seed);
+      for (size_t j = 0; j < r; ++j) {
+        buckets[j] = static_cast<uint32_t>(
+            mod(XxHash64Key8WithRound0(round0[j], seed_acc)));
+      }
+      // Key = (hits, inverted bucket): its maximum is the most
+      // shared bucket, the smallest one on ties.
+      uint64_t best_key = 0;
+      for (const uint32_t bucket : buckets) {
+        uint32_t here = 0;
+        for (const uint32_t other : buckets) here += other == bucket;
+        best_key = std::max(best_key, (uint64_t{here} << 32) | ~bucket);
+      }
+      const size_t hits = static_cast<size_t>(best_key >> 32);
+      if (hits > best_hits) {
+        best_hits = hits;
+        best_seed = seed;
+        best_value = ~static_cast<uint32_t>(best_key);
+        if (best_hits == r) break;  // cannot do better
+      }
+    }
+    seeds[i] = best_seed;
+    values[i] = best_value;
+  }
+}
+
+}  // namespace
+
+void SimdMgaOlhCraft(const uint32_t* targets, size_t r, uint32_t g,
+                     size_t tries, size_t m, Rng& rng, uint64_t* seeds,
+                     uint32_t* values) {
+  LDPR_CHECK(r >= 1 && tries >= 1);
+  // The targets are fixed across all m reports and all seed tries:
+  // precompute each target's item-only xxHash half once.
+  std::vector<uint64_t> round0(r);
+  for (size_t j = 0; j < r; ++j) round0[j] = XxHash64Round0(targets[j]);
+#if defined(LDPR_SIMD_X86)
+  if (ActiveSimdBackend() == SimdBackend::kAvx512 &&
+      r <= kCraftMaxTargets && g <= kCraftMaxBuckets) {
+    MgaOlhCraftAvx512(round0.data(), r, g, tries, m, rng, seeds, values);
+    return;
+  }
+#endif
+  MgaOlhCraftScalar(round0.data(), r, g, tries, m, rng, seeds, values);
 }
 
 uint8_t SimdModEqualsAvx512ForTest(const uint64_t* h, const uint64_t* r,

@@ -1,11 +1,12 @@
-// Portable SIMD layer for the batched aggregation kernels.
+// Portable SIMD layer for the report-heavy kernels.
 //
-// Three hot kernels dominate report-heavy aggregation (see
+// Four hot kernels dominate report-heavy trials (see
 // docs/architecture.md):
 //
 //   * column sums over packed unary 0/1 bit rows (OUE/SUE),
 //   * the GRR value histogram,
-//   * batched SeededHash evaluation for OLH/BLH report tiles.
+//   * batched SeededHash evaluation for OLH/BLH report tiles,
+//   * MGA's OLH/BLH seed search, which crafts every malicious report.
 //
 // Each kernel ships a scalar reference implementation (always
 // compiled, the exact shape of the pre-SIMD per-report code) plus
@@ -14,16 +15,21 @@
 // hashing the inline split-xxHash + FastMod evaluation of
 // util/hash_family.h, or under AVX-512 an 8-lane xxHash finish whose
 // `h % g == value` test is FastModEquals's multiply-rotate-compare.
+// The MGA seed search runs the same 8-lane xxHash finish on 8 seed
+// tries at once under AVX-512 (g <= 16 and up to 64 targets) and the
+// scalar loop everywhere else.
 // The backends are scalar, SSE2, AVX2 and AVX-512 on x86 and NEON on
 // ARM; AVX-512 runs the AVX2 unary-column and histogram bodies and
-// has its own OLH/BLH kernel.  Dispatch is compile-time (only backends
+// has its own OLH/BLH kernels.  Dispatch is compile-time (only backends
 // the target architecture can express are compiled; see the LDPR_SIMD
 // CMake option) narrowed at runtime by cpuid: AVX-512 needs avx512f
 // and avx512dq, and is picked first when present.  Every kernel
-// is bit-exact across backends: every kernel adds into uint64_t
-// support counters, and integer addition regroups exactly
-// (tests/report_gen_batch_test.cc locks each kernel to its scalar
-// reference on every backend the machine offers).
+// is bit-exact across backends: the counting kernels add into
+// uint64_t support counters, and integer addition regroups exactly;
+// the seed search returns the scalar loop's seeds and values and
+// leaves the Rng where the scalar loop leaves it
+// (tests/report_gen_batch_test.cc and tests/mga_test.cc lock each
+// kernel to its scalar reference on every backend the machine offers).
 //
 // Setting LDPR_FORCE_SCALAR=1 in the environment pins the scalar
 // reference paths — the lever the CI determinism job uses to prove
@@ -37,6 +43,8 @@
 
 namespace ldpr {
 
+class Rng;
+
 /// The kernel implementations this build can dispatch to.  kScalar is
 /// always available; the others require both compile-time support and
 /// (on x86) a runtime cpuid check.
@@ -45,6 +53,7 @@ enum class SimdBackend {
   kSse2,
   kAvx2,
   kAvx512,  // AVX2 kernels plus the AVX-512 OLH/BLH support count
+            // and MGA seed search
   kNeon,
 };
 
@@ -91,6 +100,18 @@ void SimdValueHistogramAdd(const uint32_t* values, size_t n, size_t d,
 /// sweep; any n works.
 void SimdOlhSupportAdd(const uint64_t* seeds, const uint32_t* values,
                        size_t n, size_t d, uint32_t g, uint64_t* counts);
+
+/// MGA's OLH/BLH crafting (Cao, Jia & Gong, USENIX Security 2021):
+/// for each of m reports, draws up to `tries` seeds from `rng` and
+/// writes to seeds[i] / values[i] the first seed whose partition
+/// H_seed (range g) puts the most of the r `targets` into one bucket,
+/// and that bucket, the smallest one on ties.  A try that puts all r
+/// targets into one bucket ends the report's search.  Requires
+/// r >= 1 and tries >= 1.  Every backend returns the same seeds and
+/// values and leaves `rng` at the same point in its stream.
+void SimdMgaOlhCraft(const uint32_t* targets, size_t r, uint32_t g,
+                     size_t tries, size_t m, Rng& rng, uint64_t* seeds,
+                     uint32_t* values);
 
 /// Test hook: bit i is FastModEquals(g)(h[i], r[i]) for i < 8 as the
 /// AVX-512 support kernel's lanes compute it.  Requires kAvx512.

@@ -757,6 +757,34 @@ TEST(GoldenTreeTest, CMakeGateScansTheSameRoots) {
       << "'";
 }
 
+TEST(GoldenTreeTest, ScanWithoutTestsFindsSanitizedTestsOnDisk) {
+  // The real tree scanned without tests/: every test the sanitizer
+  // jobs name is still on disk, so R4 has nothing to report.
+  LintOptions options;
+  options.repo_root = LDPR_SOURCE_DIR;
+  options.roots = {"src", "tools", "bench", "examples"};
+  auto result = RunLint(options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  for (const Finding& finding : result.value().findings) {
+    if (finding.rule == "R4") ADD_FAILURE() << FormatFinding(finding);
+  }
+
+  // A test that is on disk but not scanned is not reported; one that
+  // is on neither still is.
+  LintTree tree = TreeOf({
+      {"CMakeLists.txt", "file(GLOB LDPR_TEST_SOURCES tests/*_test.cc)\n"},
+      {".github/workflows/ci.yml",
+       CiYaml("grr_test gone_test", "grr_test ./gone_test", "grr_test",
+              "grr_test")},
+  });
+  tree.repo_root = LDPR_SOURCE_DIR;
+  const auto findings = Lint(tree);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "R4");
+  EXPECT_NE(findings[0].message.find("tests/gone_test.cc does not exist"),
+            std::string::npos);
+}
+
 TEST(GoldenTreeTest, SeededViolationIsCaught) {
   // The acceptance probe: a tree where src/ldp/grr.cc gains an R1
   // violation must produce exactly that finding, naming file, line,

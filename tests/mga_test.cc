@@ -3,16 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ldp/blh.h"
 #include "ldp/grr.h"
 #include "ldp/olh.h"
 #include "ldp/oue.h"
+#include "simd_backends.h"
 #include "test_reports.h"
 #include "util/metrics.h"
+#include "util/simd.h"
 
 namespace ldpr {
 namespace {
@@ -122,31 +128,33 @@ TEST(MgaTest, InflatesTargetFrequencies) {
   EXPECT_GT(fg, 0.05);
 }
 
-// The OLH bucket choice as MGA made it with a g-sized hit array per
-// seed try: histogram the targets' buckets, take the first maximum
-// (the smallest bucket on ties).  Kept as the reference the
-// target-only selection must reproduce report for report.
-ReportBatch CraftOlhWithBucketArray(const Olh& olh,
+// The OLH bucket choice as MGA made it with a hit count per bucket
+// and seed try: histogram the targets' buckets, take the first
+// maximum (the smallest bucket on ties).  The histogram is a map, so
+// the reference holds only the buckets the targets reach, whatever g
+// is.  Kept as the reference every backend's seed search must
+// reproduce report for report.
+ReportBatch CraftOlhWithBucketArray(const OlhBase& olh,
                                     const std::vector<ItemId>& targets,
                                     size_t m, size_t seed_tries, Rng& rng) {
   ReportBatch batch;
   ReportBatch::Builder builder(batch);
-  std::vector<uint32_t> bucket_hits(olh.g());
   for (size_t i = 0; i < m; ++i) {
     uint64_t best_seed = 0;
     uint32_t best_value = 0;
     size_t best_hits = 0;
     for (size_t attempt = 0; attempt < seed_tries; ++attempt) {
       const uint64_t seed = rng.Next();
-      std::fill(bucket_hits.begin(), bucket_hits.end(), 0u);
+      std::map<uint32_t, size_t> bucket_hits;
       for (ItemId t : targets) ++bucket_hits[olh.Hash(seed, t)];
-      const auto it = std::max_element(bucket_hits.begin(), bucket_hits.end());
-      if (*it > best_hits) {
-        best_hits = *it;
-        best_seed = seed;
-        best_value = static_cast<uint32_t>(it - bucket_hits.begin());
-        if (best_hits == targets.size()) break;
+      for (const auto& [bucket, hits] : bucket_hits) {
+        if (hits > best_hits) {
+          best_hits = hits;
+          best_seed = seed;
+          best_value = bucket;
+        }
       }
+      if (best_hits == targets.size()) break;
     }
     builder.AddSeedValue(best_seed, best_value);
   }
@@ -154,28 +162,55 @@ ReportBatch CraftOlhWithBucketArray(const Olh& olh,
 }
 
 TEST(MgaTest, OlhBucketChoiceMatchesBucketArrayReference) {
-  // g = 3, 8, 56: ties between buckets are common, so the tie rule
-  // is exercised along with the maximum.
-  for (double epsilon : {0.5, 2.0, 4.0}) {
-    const Olh olh(200, epsilon);
-    Rng target_rng(12);
-    const auto targets = MgaAttack::SampleTargets(200, 10, target_rng);
-    const MgaAttack attack(targets);
-    const size_t m = 500;
-    Rng rng(13), reference_rng(13);
-    ReportBatch crafted;
-    ReportBatch::Builder builder(crafted);
-    attack.CraftBatch(olh, m, rng, builder);
-    const ReportBatch reference = CraftOlhWithBucketArray(
-        olh, targets, m, MgaOptions().olh_seed_tries, reference_rng);
-    ASSERT_EQ(crafted.size(), m);
-    for (size_t i = 0; i < m; ++i) {
-      EXPECT_EQ(crafted.seeds()[i], reference.seeds()[i])
-          << "eps=" << epsilon << " report " << i;
-      EXPECT_EQ(crafted.values()[i], reference.values()[i])
-          << "eps=" << epsilon << " report " << i;
+  // OLH g = 3, 3, 4, 9, 12, 16, 17, 62, 2982 and 485,165,197, plus
+  // BLH (g = 2): powers of two, odd g and g = 4·3 for the vector
+  // path's divisibility test, g = 16 and 17 around its bucket limit.
+  // Ties between buckets are common at small g, so the tie rule is
+  // exercised along with the maximum.  At g <= 3, r <= 3 often hits
+  // every target in the middle of an 8-try vector, the early exit
+  // that rewinds the vector path's Rng; r = 64 and 65 straddle that
+  // path's target limit.  13 tries end on a partial vector.
+  const size_t d = 200;
+  const size_t m = 260;
+  std::vector<std::unique_ptr<OlhBase>> protocols;
+  for (double epsilon :
+       {0.1, 0.5, 1.0, 2.0, 2.35, 2.7, 2.75, 4.1, 8.0, 20.0})
+    protocols.push_back(std::make_unique<Olh>(d, epsilon));
+  protocols.push_back(std::make_unique<Blh>(d, 0.5));
+  for (const auto& protocol : protocols) {
+    for (size_t r : {1, 2, 3, 10, 30, 64, 65}) {
+      for (size_t tries : {size_t{64}, size_t{13}}) {
+        Rng target_rng(12);
+        const auto targets = MgaAttack::SampleTargets(d, r, target_rng);
+        MgaOptions options;
+        options.olh_seed_tries = tries;
+        const MgaAttack attack(targets, options);
+        Rng reference_rng(13);
+        const ReportBatch reference = CraftOlhWithBucketArray(
+            *protocol, targets, m, tries, reference_rng);
+        const uint64_t reference_next = reference_rng.Next();
+        for (SimdBackend backend : TestableBackends()) {
+          ScopedBackend scoped(backend);
+          Rng rng(13);
+          ReportBatch crafted;
+          ReportBatch::Builder builder(crafted);
+          attack.CraftBatch(*protocol, m, rng, builder);
+          const std::string where = protocol->Name() + " g=" +
+                                    std::to_string(protocol->g()) +
+                                    " r=" + std::to_string(r) + " tries=" +
+                                    std::to_string(tries) + " simd=" +
+                                    SimdBackendName(backend);
+          ASSERT_EQ(crafted.size(), m) << where;
+          for (size_t i = 0; i < m; ++i) {
+            ASSERT_EQ(crafted.seeds()[i], reference.seeds()[i])
+                << where << " report " << i;
+            ASSERT_EQ(crafted.values()[i], reference.values()[i])
+                << where << " report " << i;
+          }
+          EXPECT_EQ(rng.Next(), reference_next) << where;
+        }
+      }
     }
-    EXPECT_EQ(rng.Next(), reference_rng.Next()) << "eps=" << epsilon;
   }
 }
 

@@ -27,6 +27,7 @@
 #include "ldp/report_batch.h"
 #include "util/hash_family.h"
 #include "util/random.h"
+#include "simd_backends.h"
 #include "util/simd.h"
 #include "util/xxhash.h"
 
@@ -93,24 +94,6 @@ TEST(ReportGenBatchTest, BuilderBatchesAgreeAcrossShardChunkBoundaries) {
 // ------------------------------------------------------------------
 // SIMD kernels: every backend available on this machine must be
 // bit-equal to the scalar reference on every kernel.
-
-std::vector<SimdBackend> TestableBackends() {
-  std::vector<SimdBackend> backends;
-  for (SimdBackend backend :
-       {SimdBackend::kScalar, SimdBackend::kSse2, SimdBackend::kAvx2,
-        SimdBackend::kAvx512, SimdBackend::kNeon}) {
-    if (SimdBackendAvailable(backend)) backends.push_back(backend);
-  }
-  return backends;
-}
-
-class ScopedBackend {
- public:
-  explicit ScopedBackend(SimdBackend backend) {
-    SetSimdBackendForTest(backend);
-  }
-  ~ScopedBackend() { ClearSimdBackendForTest(); }
-};
 
 TEST(SimdKernelTest, UnaryColumnsMatchScalarAcrossBackends) {
   Rng rng(101);
